@@ -7,16 +7,6 @@ cd "$(dirname "$0")"
 echo "==> cargo fmt --check"
 cargo fmt --check
 
-echo "==> compat shim gate (no in-tree callers of uwb_dsp::compat)"
-# The deprecated pre-context allocating wrappers exist only for
-# out-of-tree code. Every in-tree caller is migrated to the
-# DspContext/Detector API; any new `compat::` use outside crates/dsp
-# (where the module and its equivalence tests live) fails the gate.
-if git grep -nE 'uwb_dsp::compat|[^[:alnum:]_]compat::' -- '*.rs' ':!crates/dsp'; then
-    echo "compat gate FAILED: migrate the uses above off uwb_dsp::compat" >&2
-    exit 1
-fi
-
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
@@ -95,22 +85,19 @@ diff /tmp/profile_t1.collapsed /tmp/profile_t4.collapsed
 grep -q "total work:" /tmp/flame_smoke.txt
 grep -q "work:fft.butterfly" /tmp/profile_t1.collapsed
 
-echo "==> DSP backend smoke (f64 byte-identical; rfft/f32 run clean)"
-# The multi-backend acceptance gate: an explicit --dsp-backend f64 run
+echo "==> DSP backend smoke (f64 byte-identical; f32 runs clean)"
+# The two-backend acceptance gate: an explicit --dsp-backend f64 run
 # must emit a byte-identical report to the default run (the scalar f64
-# backend IS the historical pipeline), and the real-FFT and f32
-# backends must complete the same campaign cleanly.
+# backend IS the historical pipeline), and the f32 backend must
+# complete the same campaign cleanly.
 UWB_RESULTS_DIR=/tmp/backend_smoke_results REPRO_TRIALS=20 \
     ./target/release/exp_fig7_overlap --threads 2 > /tmp/fig7_default.txt
 UWB_RESULTS_DIR=/tmp/backend_smoke_results REPRO_TRIALS=20 \
     ./target/release/exp_fig7_overlap --threads 2 --dsp-backend f64 \
     > /tmp/fig7_backend_f64.txt
 diff /tmp/fig7_default.txt /tmp/fig7_backend_f64.txt
-for backend in rfft f32; do
-    UWB_RESULTS_DIR=/tmp/backend_smoke_results REPRO_TRIALS=20 \
-        ./target/release/exp_fig7_overlap --threads 2 \
-        --dsp-backend "$backend" >/dev/null
-done
+UWB_RESULTS_DIR=/tmp/backend_smoke_results REPRO_TRIALS=20 \
+    ./target/release/exp_fig7_overlap --threads 2 --dsp-backend f32 >/dev/null
 
 echo "==> streaming pipeline smoke (feed_round byte-identical to batch)"
 # The pipeline-layer acceptance gate: driving the same Fig. 7 workload
@@ -160,5 +147,17 @@ cargo build --release -p uwb-perfwatch --features count-alloc
     --max-allocs 4 --out /tmp/bench_alloc_smoke.json >/dev/null
 # Restore the default-feature binary for anyone running artifacts next.
 cargo build --release -p uwb-perfwatch
+
+echo "==> uwb-bench: tests, smoke runs, committed files untouched"
+# The round-level benchmark BENCHMARK.json declares is a package of its
+# own (not a workspace member), so nothing above builds it: a library
+# change can break it while every workspace gate stays green. Run its
+# tests and both smoke builds, then require that building it left its
+# committed files — its Cargo.lock above all — and BENCHMARK.json as
+# they were.
+cargo test --manifest-path crates/perfwatch/src/bin/uwb-bench/Cargo.toml
+bash crates/perfwatch/src/bin/uwb-bench/run.sh --smoke
+bash crates/perfwatch/src/bin/uwb-bench/run.sh --smoke --trace 1
+git diff --exit-code -- crates/perfwatch/src/bin/uwb-bench BENCHMARK.json
 
 echo "ci: all gates passed"

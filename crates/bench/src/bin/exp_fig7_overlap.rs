@@ -12,21 +12,20 @@ use uwb_campaign::artifact::{results_dir, CsvWriter};
 
 fn main() {
     let trials = repro_bench::trials_from_env(2000);
-    let (obs, leftover) = match repro_bench::ExpHarness::init_with(
-        "exp_fig7_overlap",
-        std::env::args().skip(1),
-    ) {
-        Ok(parsed) => parsed,
-        Err(msg) => {
-            eprintln!("{msg}\nusage: exp_fig7_overlap [--stream] [--threads N] [--dsp-backend f64|rfft|f32] [--trace-out[=PATH]] [--profile[=PATH]]");
-            std::process::exit(2);
-        }
-    };
+    let usage = repro_bench::usage("exp_fig7_overlap [--stream]");
+    let (obs, leftover) =
+        match repro_bench::ExpHarness::init_with("exp_fig7_overlap", std::env::args().skip(1)) {
+            Ok(parsed) => parsed,
+            Err(msg) => {
+                eprintln!("{msg}\n{usage}");
+                std::process::exit(2);
+            }
+        };
     let stream = match leftover.as_slice() {
         [] => false,
         [flag] if flag == "--stream" => true,
         other => {
-            eprintln!("unrecognised arguments: {other:?}\nusage: exp_fig7_overlap [--stream] [--threads N] [--dsp-backend f64|rfft|f32] [--trace-out[=PATH]] [--profile[=PATH]]");
+            eprintln!("unrecognised arguments: {other:?}\n{usage}");
             std::process::exit(2);
         }
     };

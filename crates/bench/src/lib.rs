@@ -24,8 +24,23 @@ pub use table::{fmt_f, sparkline, trials_from_env, Table};
 
 use std::path::PathBuf;
 
-const USAGE: &str = "usage: exp_… [--threads N] [--dsp-backend f64|rfft|f32] \
-[--trace-out[=PATH]] [--profile[=PATH]]";
+/// The `--dsp-backend` labels, in [`uwb_dsp::DspBackend::ALL`] order,
+/// joined by `sep`.
+fn backend_labels(sep: &str) -> String {
+    uwb_dsp::DspBackend::ALL
+        .map(uwb_dsp::DspBackend::label)
+        .join(sep)
+}
+
+/// The usage line of an experiment binary: `head` (the binary name plus
+/// any flags of its own) followed by the shared [`ExpHarness`] flags.
+#[must_use]
+pub fn usage(head: &str) -> String {
+    format!(
+        "usage: {head} [--threads N] [--dsp-backend {}] [--trace-out[=PATH]] [--profile[=PATH]]",
+        backend_labels("|")
+    )
+}
 
 /// The shared experiment CLI: the `--threads N` worker knob, the DSP
 /// backend selector (`--dsp-backend LABEL`, or the `UWB_DSP_BACKEND`
@@ -61,13 +76,13 @@ impl ExpHarness {
         match Self::init_with(name, std::env::args().skip(1)) {
             Ok((harness, leftover)) => {
                 if !leftover.is_empty() {
-                    eprintln!("unrecognised arguments: {leftover:?}\n{USAGE}");
+                    eprintln!("unrecognised arguments: {leftover:?}\n{}", usage("exp_…"));
                     std::process::exit(2);
                 }
                 harness
             }
             Err(msg) => {
-                eprintln!("{msg}\n{USAGE}");
+                eprintln!("{msg}\n{}", usage("exp_…"));
                 std::process::exit(2);
             }
         }
@@ -82,8 +97,8 @@ impl ExpHarness {
     ///
     /// # Errors
     ///
-    /// Returns a message for a malformed `--threads` value or an
-    /// unopenable trace output path.
+    /// Returns a message for a malformed `--threads` value, an unknown
+    /// `--dsp-backend` label or an unopenable trace output path.
     pub fn init_with(
         name: &str,
         args: impl Iterator<Item = String>,
@@ -112,8 +127,9 @@ impl ExpHarness {
             }
         }
         let dsp_backend = match &backend_opt {
-            Some(label) => uwb_dsp::DspBackend::parse(label)
-                .ok_or_else(|| format!("unknown DSP backend {label:?} (f64, rfft, f32)"))?,
+            Some(label) => uwb_dsp::DspBackend::parse(label).ok_or_else(|| {
+                format!("unknown DSP backend {label:?} ({})", backend_labels(", "))
+            })?,
             None => uwb_dsp::DspBackend::from_env(),
         };
         if backend_opt.is_some() {
@@ -207,22 +223,15 @@ fn resolve_profile_path(cli: Option<&str>, name: &str) -> Option<PathBuf> {
     }
 }
 
-/// Parses the shared `--threads N` knob from this process's arguments
-/// (0 = automatic), exiting with a usage message on a malformed flag.
-/// Retained for callers that need only the worker count; experiment
-/// binaries use [`ExpHarness::init`], which also wires the tracing
-/// knobs.
-#[must_use]
-pub fn threads_from_args() -> usize {
-    match uwb_campaign::parse_threads_arg(std::env::args().skip(1)) {
-        Ok((threads, rest)) if rest.is_empty() => threads,
-        Ok((_, rest)) => {
-            eprintln!("unrecognised arguments: {rest:?}\n{USAGE}");
-            std::process::exit(2);
-        }
-        Err(msg) => {
-            eprintln!("{msg}\n{USAGE}");
-            std::process::exit(2);
-        }
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn removed_backend_label_is_rejected_naming_the_valid_ones() {
+        let args = ["--dsp-backend", "rfft"].map(String::from).into_iter();
+        let err = ExpHarness::init_with("exp_test", args).unwrap_err();
+        assert_eq!(err, r#"unknown DSP backend "rfft" (f64, f32)"#);
+        assert!(usage("exp_test").contains(" [--dsp-backend f64|f32] "));
     }
 }

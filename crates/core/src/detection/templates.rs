@@ -7,7 +7,7 @@
 //! filter outputs of *different* templates are directly comparable — the
 //! property the pulse-shape identification (Sect. V) relies on.
 
-use uwb_dsp::{Complex64, DspContext, MatchedFilter};
+use uwb_dsp::{Complex64, MatchedFilter};
 use uwb_radio::{PulseShape, TcPgDelay};
 
 /// A pulse template prepared for detection at a fixed sample rate.
@@ -75,32 +75,12 @@ impl DetectionTemplate {
         self.peak_offset
     }
 
-    /// Matched-filter output (complex, template-start-aligned, same length
-    /// as the signal). Because the template is unit-energy, outputs are
-    /// comparable across templates of different widths.
-    pub fn matched_filter(&self, signal: &[Complex64]) -> Vec<Complex64> {
-        self.filter
-            .apply(signal)
-            .expect("signal validated by caller")
-    }
-
-    /// Planned variant of [`DetectionTemplate::matched_filter`]: writes
-    /// the output into `out`, drawing cached plans and working buffers
-    /// from `ctx`. Bit-identical values; allocation-free in steady state.
-    pub fn matched_filter_into(
-        &self,
-        signal: &[Complex64],
-        out: &mut Vec<Complex64>,
-        ctx: &mut DspContext,
-    ) {
-        self.filter
-            .apply_into(signal, out, ctx)
-            .expect("signal validated by caller");
-    }
-
-    /// The prepared matched filter behind this template, for callers that
-    /// dispatch through the backend-generic [`uwb_dsp::Kernels`] entry
-    /// points (which key their kernel-spectrum caches on the filter).
+    /// The prepared matched filter behind this template (template-start
+    /// aligned output, same length as the signal). Because the template
+    /// is unit-energy, outputs are comparable across templates of
+    /// different widths. Detectors dispatch it through the
+    /// backend-generic [`uwb_dsp::Kernels`] entry points, which key
+    /// their kernel-spectrum caches on the filter.
     pub fn filter(&self) -> &MatchedFilter {
         &self.filter
     }
@@ -250,7 +230,7 @@ mod tests {
         let t = template();
         let tau = 300.0 * TS;
         let signal = render(t.pulse(), tau, Complex64::from_real(0.8), 1000);
-        let out = t.matched_filter(&signal);
+        let out = t.filter().apply(&signal).unwrap();
         let mags: Vec<f64> = out.iter().map(|z| z.abs()).collect();
         let (l, _) = uwb_dsp::argmax(&mags).unwrap();
         let recovered = t.center_delay_s(l as f64);

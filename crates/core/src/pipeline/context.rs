@@ -15,8 +15,9 @@ use uwb_radio::{Cir, Prf};
 /// rounds: the embedded [`DetectorContext`] carries the FFT plan cache,
 /// kernel spectra and scratch buffers of the selected DSP backend, and
 /// the CIR scratch is re-rendered in place — so every round after the
-/// first runs the hot path allocation-free. Reuse is bit-identical to a
-/// fresh context by the plan-cache contract.
+/// first runs the hot path without plan or buffer allocations (each
+/// detection still returns its own response vector). Reuse is
+/// bit-identical to a fresh context by the plan-cache contract.
 ///
 /// The deterministic work-counter profiler needs no handle here: its
 /// scope tree is thread-local and travels with whichever thread drives

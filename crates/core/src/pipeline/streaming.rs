@@ -5,10 +5,13 @@
 //! construction across a worker's whole slice. A deployed ranging
 //! service sees rounds arrive *one at a time* — this driver gives that
 //! shape the same warmed-context hot path: the first round pays plan
-//! construction, every later round is allocation-free, and because
-//! context reuse is bit-identical to fresh contexts (the plan-cache
-//! contract), a stream fed the per-round RNGs of a batch campaign
-//! reproduces the batch output byte for byte.
+//! construction and buffer growth, later rounds reuse them. Neither the
+//! driver nor a warm context allocates; a warm round allocates only
+//! what the program builds and returns (perfwatch's
+//! `pipeline.round_stream` row counts it for the Fig. 7 program).
+//! Because context reuse is bit-identical to fresh contexts (the
+//! plan-cache contract), a stream fed the per-round RNGs of a batch
+//! campaign reproduces the batch output byte for byte.
 
 use crate::pipeline::RoundContext;
 use rand::rngs::StdRng;

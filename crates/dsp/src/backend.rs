@@ -1,13 +1,12 @@
 //! Runtime-selectable DSP backends.
 //!
 //! Every hot kernel in the detection pipeline — upsampling, matched
-//! filtering, magnitude extraction — can run on one of three backends:
+//! filtering, magnitude extraction — can run on one of two backends:
 //!
 //! | Backend | Label | Contract |
 //! |---------|-------|----------|
-//! | [`DspBackend::ScalarF64`] | `f64` | bit-identical to the historical scalar complex-f64 path; the default |
-//! | [`DspBackend::RealFft`] | `rfft` | f64 precision, but real-input structure is exploited: matched-filter kernel spectra are cached (the template is real and never changes) and magnitudes use `sqrt(norm_sqr)` instead of `hypot` |
-//! | [`DspBackend::F32`] | `f32` | the same kernel set in single precision; ~2⁻²⁴ relative rounding, far below the CIR noise floor of every paper scenario |
+//! | [`DspBackend::ScalarF64`] | `f64` | bit-identical to the historical scalar complex-f64 path; the reference and the default |
+//! | [`DspBackend::F32`] | `f32` | the fast path: the same kernel set in single precision, with overlap-save matched filtering over cached kernel spectra; ~2⁻²⁴ relative rounding, far below the CIR noise floor of every paper scenario |
 //!
 //! The backend is a property of the [`crate::DspContext`]; detectors
 //! and experiment binaries pick it up via the `UWB_DSP_BACKEND`
@@ -26,10 +25,6 @@ pub enum DspBackend {
     /// pipeline and therefore the default.
     #[default]
     ScalarF64,
-    /// f64 kernels that exploit real-input structure: cached real-kernel
-    /// spectra for matched filters (one forward FFT saved per
-    /// convolution) and `sqrt(norm_sqr)` magnitudes.
-    RealFft,
     /// Single-precision kernels: f32 FFT/convolution/upsampling with
     /// conversion at the `Complex64` API boundary.
     F32,
@@ -37,7 +32,7 @@ pub enum DspBackend {
 
 impl DspBackend {
     /// Every backend, in documentation order.
-    pub const ALL: [DspBackend; 3] = [DspBackend::ScalarF64, DspBackend::RealFft, DspBackend::F32];
+    pub const ALL: [DspBackend; 2] = [DspBackend::ScalarF64, DspBackend::F32];
 
     /// The canonical label accepted by [`DspBackend::parse`] and the
     /// `UWB_DSP_BACKEND` knob.
@@ -45,7 +40,6 @@ impl DspBackend {
     pub fn label(self) -> &'static str {
         match self {
             DspBackend::ScalarF64 => "f64",
-            DspBackend::RealFft => "rfft",
             DspBackend::F32 => "f32",
         }
     }
@@ -93,10 +87,11 @@ mod tests {
 
     #[test]
     fn parse_is_forgiving_about_case_and_whitespace() {
-        assert_eq!(DspBackend::parse(" RFFT "), Some(DspBackend::RealFft));
+        assert_eq!(DspBackend::parse(" F64 "), Some(DspBackend::ScalarF64));
         assert_eq!(DspBackend::parse("F32"), Some(DspBackend::F32));
         assert_eq!(DspBackend::parse("f16"), None);
         assert_eq!(DspBackend::parse(""), None);
+        assert_eq!(DspBackend::parse("rfft"), None);
     }
 
     #[test]

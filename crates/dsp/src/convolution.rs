@@ -210,17 +210,6 @@ pub fn zero_lag_index(b_len: usize) -> usize {
     b_len.saturating_sub(1)
 }
 
-/// Convolution of real-valued sequences, returned as real values.
-///
-/// # Errors
-///
-/// Returns [`DspError::EmptyInput`] when either input is empty.
-pub fn convolve_real(a: &[f64], b: &[f64]) -> Result<Vec<f64>, DspError> {
-    let ca: Vec<Complex64> = a.iter().map(|&x| Complex64::from_real(x)).collect();
-    let cb: Vec<Complex64> = b.iter().map(|&x| Complex64::from_real(x)).collect();
-    Ok(convolve(&ca, &cb)?.into_iter().map(|z| z.re).collect())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -310,13 +299,6 @@ mod tests {
         let corr = correlate(&a, &a).unwrap();
         // i · conj(i) = 1
         assert!((corr[0] - Complex64::ONE).abs() < 1e-12);
-    }
-
-    #[test]
-    fn real_convolution_wrapper() {
-        let out = convolve_real(&[1.0, 1.0], &[1.0, 1.0]).unwrap();
-        assert_eq!(out.len(), 3);
-        assert!((out[1] - 2.0).abs() < 1e-12);
     }
 
     fn wave(len: usize, f1: f64, f2: f64) -> Vec<Complex64> {

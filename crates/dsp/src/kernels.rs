@@ -10,15 +10,13 @@
 //! - [`DspBackend::ScalarF64`] routes to the historical planned f64
 //!   kernels — outputs are **bit-identical** to the pre-redesign
 //!   pipeline, which the campaign determinism contract relies on.
-//! - [`DspBackend::RealFft`] keeps f64 arithmetic but caches the
-//!   forward spectra of matched-filter kernels (built through the
-//!   half-cost real-input FFT when the template is real), removing one
-//!   of the three transforms from every FFT-path matched filter.
-//! - [`DspBackend::F32`] runs the transforms in single precision —
-//!   half the memory traffic through the 16384-point convolution FFTs —
-//!   while keeping the [`Complex64`] API boundary.
+//! - [`DspBackend::F32`] runs the transforms in single precision, with
+//!   overlap-save matched filtering over cached kernel spectra (one
+//!   forward and one inverse transform per block instead of three
+//!   transforms at the padded full length), while keeping the
+//!   [`Complex64`] API boundary.
 //!
-//! Small shapes take the direct convolution path on *every* backend
+//! Small shapes take the direct convolution path on *both* backends
 //! (same [`fft_wins`] branch), so backends differ only where the FFT
 //! machinery actually runs.
 
@@ -166,41 +164,11 @@ fn overlap_save_len(out_len: usize, kernel_len: usize) -> usize {
 }
 
 impl DspContext {
-    /// The cached f64 forward spectrum of `filter`'s impulse response,
-    /// zero-padded to transform length `k`. Built once per
-    /// `(kernel, k)` pair — through the half-cost real FFT when the
-    /// template is purely real — then shared via [`Arc`]. Cache fills
-    /// use the unprofiled transform paths so work counters stay
-    /// invariant to how many workers warmed their caches.
-    fn kernel_spectrum_f64(
-        &mut self,
-        filter: &MatchedFilter,
-        k: usize,
-    ) -> Result<Arc<Vec<Complex64>>, DspError> {
-        let key = (filter.kernel_id(), k);
-        if let Some(spectrum) = self.kernel_spectra.get(&key) {
-            return Ok(Arc::clone(spectrum));
-        }
-        let mut spectrum;
-        if let Some(real) = filter.reversed_real() {
-            let plan = self.plans.rfft(k)?;
-            let mut padded = vec![0.0f64; k];
-            padded[..real.len()].copy_from_slice(real);
-            spectrum = Vec::new();
-            plan.forward_into_unprofiled(&padded, &mut spectrum, &mut self.scratch);
-        } else {
-            let plan = self.plans.radix2(k)?;
-            spectrum = vec![Complex64::ZERO; k];
-            spectrum[..filter.reversed().len()].copy_from_slice(filter.reversed());
-            plan.transform_unprofiled(&mut spectrum, Direction::Forward);
-        }
-        let spectrum = Arc::new(spectrum);
-        self.kernel_spectra.insert(key, Arc::clone(&spectrum));
-        Ok(spectrum)
-    }
-
-    /// The single-precision twin of
-    /// [`DspContext::kernel_spectrum_f64`].
+    /// The cached single-precision forward spectrum of `filter`'s
+    /// impulse response, zero-padded to transform length `k`. Built once
+    /// per `(kernel, k)` pair, then shared via [`Arc`]. Cache fills use
+    /// the unprofiled transform path so work counters stay invariant to
+    /// how many workers warmed their caches.
     fn kernel_spectrum_f32(
         &mut self,
         filter: &MatchedFilter,
@@ -238,8 +206,8 @@ impl DspContext {
         let backend = self.backend();
 
         // The scalar backend always takes the historical f64 path
-        // (bit-identical contract); the others join it for small shapes
-        // where the direct convolution wins anyway.
+        // (bit-identical contract); f32 joins it for small shapes where
+        // the direct convolution wins anyway.
         if backend == DspBackend::ScalarF64 || !fft_wins(signal.len(), kernel_len) {
             let mut full = self.scratch.acquire();
             convolve_into(signal, filter.reversed(), &mut full, self)?;
@@ -262,8 +230,8 @@ impl DspContext {
             return Ok(());
         }
 
-        // Overlap-save convolution: the cached kernel spectrum lives at
-        // the cost-optimal block length, and each block pays two
+        // F32 overlap-save convolution: the cached kernel spectrum lives
+        // at the cost-optimal block length, and each block pays two
         // transforms there instead of one pair at the padded full
         // length. Block `j` loads signal samples `[j·step, j·step + k)`
         // (zero-padded past the end); the circular convolution is free
@@ -282,71 +250,36 @@ impl DspContext {
                 mags.reserve(signal.len());
             }
         }
-        match backend {
-            DspBackend::RealFft => {
-                let spectrum = self.kernel_spectrum_f64(filter, k)?;
-                let plan = self.plans.radix2(k)?;
-                let mut buf = self.scratch.acquire();
-                let mut produced = 0usize;
-                while produced < signal.len() {
-                    // Same per-block accounting as convolve_into's FFT
-                    // path, minus the kernel transform the cache removed.
-                    uwb_obs::profile::work("conv.mac", k as u64);
-                    buf.clear();
-                    buf.resize(k, Complex64::ZERO);
-                    let seg_end = (produced + k).min(signal.len());
-                    buf[..seg_end - produced].copy_from_slice(&signal[produced..seg_end]);
-                    plan.forward(&mut buf);
-                    for (b, s) in buf.iter_mut().zip(spectrum.iter()) {
-                        *b *= *s;
-                    }
-                    plan.inverse(&mut buf);
-                    let take = step.min(signal.len() - produced);
-                    let window = &buf[start..start + take];
-                    match &mut sink {
-                        MfSink::Complex(out) => out.extend_from_slice(window),
-                        MfSink::Mags(mags) => {
-                            mags.extend(window.iter().map(|z| z.norm_sqr().sqrt()));
-                        }
-                    }
-                    produced += take;
-                }
-                self.scratch.release(buf);
+        let spectrum = self.kernel_spectrum_f32(filter, k)?;
+        let plan = self.fp32.radix2(k)?;
+        let mut buf = self.fp32.scratch.acquire();
+        let mut produced = 0usize;
+        while produced < signal.len() {
+            uwb_obs::profile::work("conv.mac", k as u64);
+            buf.clear();
+            buf.resize(k, Complex32::ZERO);
+            let seg_end = (produced + k).min(signal.len());
+            for (slot, z) in buf.iter_mut().zip(&signal[produced..seg_end]) {
+                *slot = Complex32::from_c64(*z);
             }
-            DspBackend::F32 => {
-                let spectrum = self.kernel_spectrum_f32(filter, k)?;
-                let plan = self.fp32.radix2(k)?;
-                let mut buf = self.fp32.scratch.acquire();
-                let mut produced = 0usize;
-                while produced < signal.len() {
-                    uwb_obs::profile::work("conv.mac", k as u64);
-                    buf.clear();
-                    buf.resize(k, Complex32::ZERO);
-                    let seg_end = (produced + k).min(signal.len());
-                    for (slot, z) in buf.iter_mut().zip(&signal[produced..seg_end]) {
-                        *slot = Complex32::from_c64(*z);
-                    }
-                    plan.forward(&mut buf);
-                    for (b, s) in buf.iter_mut().zip(spectrum.iter()) {
-                        *b *= *s;
-                    }
-                    plan.inverse(&mut buf);
-                    let take = step.min(signal.len() - produced);
-                    let window = &buf[start..start + take];
-                    match &mut sink {
-                        MfSink::Complex(out) => {
-                            out.extend(window.iter().map(|z| z.to_c64()));
-                        }
-                        MfSink::Mags(mags) => {
-                            mags.extend(window.iter().map(|z| f64::from(z.norm_sqr()).sqrt()));
-                        }
-                    }
-                    produced += take;
-                }
-                self.fp32.scratch.release(buf);
+            plan.forward(&mut buf);
+            for (b, s) in buf.iter_mut().zip(spectrum.iter()) {
+                *b *= *s;
             }
-            DspBackend::ScalarF64 => unreachable!("scalar handled above"),
+            plan.inverse(&mut buf);
+            let take = step.min(signal.len() - produced);
+            let window = &buf[start..start + take];
+            match &mut sink {
+                MfSink::Complex(out) => {
+                    out.extend(window.iter().map(|z| z.to_c64()));
+                }
+                MfSink::Mags(mags) => {
+                    mags.extend(window.iter().map(|z| f64::from(z.norm_sqr()).sqrt()));
+                }
+            }
+            produced += take;
         }
+        self.fp32.scratch.release(buf);
         Ok(())
     }
 }
@@ -358,7 +291,7 @@ impl Kernels for DspContext {
 
     fn fft_into(&mut self, data: &mut [Complex64], direction: Direction) -> Result<(), DspError> {
         match self.backend() {
-            DspBackend::ScalarF64 | DspBackend::RealFft => {
+            DspBackend::ScalarF64 => {
                 let plan = self.plans.bluestein(data.len())?;
                 plan.transform_with(data, direction, &mut self.scratch);
                 Ok(())
@@ -384,9 +317,7 @@ impl Kernels for DspContext {
         out: &mut Vec<Complex64>,
     ) -> Result<(), DspError> {
         match self.backend() {
-            DspBackend::ScalarF64 | DspBackend::RealFft => {
-                upsample_fft_into(signal, factor, out, self)
-            }
+            DspBackend::ScalarF64 => upsample_fft_into(signal, factor, out, self),
             DspBackend::F32 => self.fp32.upsample_into(signal, factor, out),
         }
     }
@@ -414,7 +345,6 @@ impl Kernels for DspContext {
         match self.backend() {
             // Historical path: hypot-based |z| (bit-identical default).
             DspBackend::ScalarF64 => out.extend(signal.iter().map(|z| z.abs())),
-            DspBackend::RealFft => out.extend(signal.iter().map(|z| z.norm_sqr().sqrt())),
             DspBackend::F32 => out.extend(
                 signal
                     .iter()
@@ -438,6 +368,13 @@ impl Kernels for DspContext {
                 let n = signal.len().min(template.len());
                 macs += n as u64;
                 let score = match backend {
+                    DspBackend::ScalarF64 => {
+                        let mut acc = Complex64::ZERO;
+                        for (s, t) in signal[..n].iter().zip(&template[..n]) {
+                            acc += *s * t.conj();
+                        }
+                        acc.abs()
+                    }
                     DspBackend::F32 => {
                         let mut re = 0.0f32;
                         let mut im = 0.0f32;
@@ -448,16 +385,6 @@ impl Kernels for DspContext {
                             im += s.im * t.re - s.re * t.im;
                         }
                         f64::from(re * re + im * im).sqrt()
-                    }
-                    _ => {
-                        let mut acc = Complex64::ZERO;
-                        for (s, t) in signal[..n].iter().zip(&template[..n]) {
-                            acc += *s * t.conj();
-                        }
-                        match backend {
-                            DspBackend::ScalarF64 => acc.abs(),
-                            _ => acc.norm_sqr().sqrt(),
-                        }
                     }
                 };
                 out.push(score);
@@ -511,37 +438,6 @@ mod tests {
     }
 
     #[test]
-    fn rfft_backend_matches_scalar_within_f64_tolerance() {
-        let filter = fig7_like_filter();
-        // Fig. 7 scale (1016 taps × 8 upsampling) — large enough that
-        // fft_wins picks the FFT path and the spectrum cache engages.
-        let signal = synth_signal(8128);
-        let mut scalar = DspContext::new();
-        let mut rfft = DspContext::with_backend(DspBackend::RealFft);
-        let (mut a, mut b) = (Vec::new(), Vec::new());
-        scalar
-            .matched_filter_mags_into(&filter, &signal, &mut a)
-            .unwrap();
-        rfft.matched_filter_mags_into(&filter, &signal, &mut b)
-            .unwrap();
-        assert_eq!(a.len(), b.len());
-        for (i, (x, y)) in a.iter().zip(&b).enumerate() {
-            assert!((x - y).abs() < 1e-9, "sample {i}: {x} vs {y}");
-        }
-        assert_eq!(
-            rfft.kernel_spectra.len(),
-            1,
-            "kernel spectrum must be cached"
-        );
-        // Second call hits the cache — same result.
-        let mut c = Vec::new();
-        rfft.matched_filter_mags_into(&filter, &signal, &mut c)
-            .unwrap();
-        assert_eq!(b, c);
-        assert_eq!(rfft.kernel_spectra.len(), 1);
-    }
-
-    #[test]
     fn f32_backend_matches_scalar_within_f32_tolerance() {
         let filter = fig7_like_filter();
         let signal = synth_signal(8128);
@@ -560,6 +456,18 @@ mod tests {
             // transforms stays far below any detection threshold.
             assert!((x - y).abs() < 1e-3 * peak, "sample {i}: {x} vs {y}");
         }
+        assert_eq!(
+            f32_ctx.kernel_spectra32.len(),
+            1,
+            "kernel spectrum must be cached"
+        );
+        // Second call hits the cache — same result.
+        let mut c = Vec::new();
+        f32_ctx
+            .matched_filter_mags_into(&filter, &signal, &mut c)
+            .unwrap();
+        assert_eq!(b, c);
+        assert_eq!(f32_ctx.kernel_spectra32.len(), 1);
     }
 
     #[test]
@@ -570,7 +478,7 @@ mod tests {
         let mut ctx = DspContext::new();
         ctx.matched_filter_mags_into(&filter, &signal, &mut reference)
             .unwrap();
-        for backend in [DspBackend::RealFft, DspBackend::F32] {
+        for backend in DspBackend::ALL {
             let mut ctx = DspContext::with_backend(backend);
             let mut out = Vec::new();
             ctx.matched_filter_mags_into(&filter, &signal, &mut out)
@@ -579,7 +487,7 @@ mod tests {
                 assert!((x - y).abs() < 1e-12, "{backend}: {x} vs {y}");
             }
             assert!(
-                ctx.kernel_spectra.is_empty() && ctx.kernel_spectra32.is_empty(),
+                ctx.kernel_spectra32.is_empty(),
                 "{backend}: direct path must not build kernel spectra"
             );
         }
@@ -677,7 +585,7 @@ mod tests {
         let mut reference = Vec::new();
         DspContext::new().magnitudes_into(&signal, &mut reference);
         assert_eq!(reference.len(), signal.len());
-        for backend in [DspBackend::RealFft, DspBackend::F32] {
+        for backend in DspBackend::ALL {
             let mut out = Vec::new();
             DspContext::with_backend(backend).magnitudes_into(&signal, &mut out);
             for (x, y) in reference.iter().zip(&out) {

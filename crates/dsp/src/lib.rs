@@ -18,15 +18,11 @@
 //! - [`Kernels`] / [`DspBackend`]: the backend-generic kernel set — a
 //!   [`DspContext`] dispatches upsampling, matched filtering and batched
 //!   correlation scoring to the bit-identical scalar f64 kernels
-//!   (default), the cached real-FFT kernel-spectrum path
-//!   ([`DspBackend::RealFft`]), or the single-precision set
-//!   ([`DspBackend::F32`]). Selected via [`DspContext::with_backend`] or
-//!   the `UWB_DSP_BACKEND` environment knob.
-//! - [`RealFftPlan`]: half-cost FFT for real input (pack-two-reals).
+//!   (default) or the single-precision set ([`DspBackend::F32`]).
+//!   Selected via [`DspContext::with_backend`] or the `UWB_DSP_BACKEND`
+//!   environment knob.
 //! - [`peaks`]: maxima, noise floor and sub-sample refinement utilities.
 //! - [`stats`]: summary statistics used by the evaluation harness.
-//! - [`compat`]: the pre-plan-cache allocating signatures, kept as thin
-//!   wrappers for unmigrated callers.
 //!
 //! # Examples
 //!
@@ -54,7 +50,6 @@
 
 mod backend;
 mod bluestein;
-pub mod compat;
 mod complex;
 mod convolution;
 mod error;
@@ -64,7 +59,6 @@ mod kernels;
 mod matched_filter;
 pub mod peaks;
 pub mod plan;
-mod real_fft;
 mod resample;
 pub mod stats;
 
@@ -72,8 +66,8 @@ pub use backend::{DspBackend, BACKEND_ENV_VAR};
 pub use bluestein::BluesteinPlan;
 pub use complex::Complex64;
 pub use convolution::{
-    convolve, convolve_direct, convolve_fft, convolve_into, convolve_real, correlate,
-    correlate_into, zero_lag_index,
+    convolve, convolve_direct, convolve_fft, convolve_into, correlate, correlate_into,
+    zero_lag_index,
 };
 pub use error::DspError;
 pub use fft::{dft_reference, fft, ifft, next_power_of_two, Direction, FftPlan};
@@ -82,5 +76,4 @@ pub use kernels::Kernels;
 pub use matched_filter::MatchedFilter;
 pub use peaks::{argmax, find_peaks, leading_edge, noise_floor, parabolic_interpolation, Peak};
 pub use plan::{DspContext, DspScratch, PlanCache};
-pub use real_fft::RealFftPlan;
-pub use resample::{fractional_delay, upsample_fft, upsample_fft_into, upsample_real};
+pub use resample::{upsample_fft, upsample_fft_into};

@@ -50,11 +50,6 @@ pub struct MatchedFilter {
     /// of `s`, built once at construction so `apply` does not rebuild it
     /// per call.
     reversed: Vec<Complex64>,
-    /// The real parts of `reversed` when the template is purely real
-    /// (always the case for the pulse-shape templates, which are sampled
-    /// real pulses) — lets the real-FFT backend build kernel spectra at
-    /// half cost.
-    reversed_real: Option<Vec<f64>>,
     /// Template energy `Σ|s|²`, used for normalized output.
     energy: f64,
     /// Process-unique identity for kernel-spectrum caching in
@@ -74,15 +69,9 @@ impl MatchedFilter {
         }
         let energy = template.iter().map(|z| z.norm_sqr()).sum();
         let reversed: Vec<Complex64> = template.iter().rev().map(|z| z.conj()).collect();
-        let reversed_real = if template.iter().all(|z| z.im == 0.0) {
-            Some(reversed.iter().map(|z| z.re).collect())
-        } else {
-            None
-        };
         Ok(Self {
             template: template.to_vec(),
             reversed,
-            reversed_real,
             energy,
             kernel_id: NEXT_KERNEL_ID.fetch_add(1, Ordering::Relaxed),
         })
@@ -123,12 +112,6 @@ impl MatchedFilter {
     /// of the template) — what the backend kernels convolve with.
     pub fn reversed(&self) -> &[Complex64] {
         &self.reversed
-    }
-
-    /// The impulse response as plain reals when the template is purely
-    /// real; `None` for genuinely complex templates.
-    pub fn reversed_real(&self) -> Option<&[f64]> {
-        self.reversed_real.as_deref()
     }
 
     /// Process-unique identity of this filter's kernel, used to key the

@@ -44,7 +44,6 @@ use crate::complex::Complex64;
 use crate::error::DspError;
 use crate::fft::FftPlan;
 use crate::fp32::{Complex32, Fp32Engine};
-use crate::real_fft::RealFftPlan;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -56,7 +55,6 @@ use std::sync::Arc;
 pub struct PlanCache {
     radix2: HashMap<usize, Arc<FftPlan>>,
     bluestein: HashMap<usize, Arc<BluesteinPlan>>,
-    rfft: HashMap<usize, Arc<RealFftPlan>>,
 }
 
 impl PlanCache {
@@ -95,32 +93,16 @@ impl PlanCache {
         Ok(plan)
     }
 
-    /// The real-input FFT plan for `size`, building and caching it on
-    /// first use.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`RealFftPlan::new`] errors (size below 2 or not a
-    /// power of two).
-    pub fn rfft(&mut self, size: usize) -> Result<Arc<RealFftPlan>, DspError> {
-        if let Some(plan) = self.rfft.get(&size) {
-            return Ok(Arc::clone(plan));
-        }
-        let plan = Arc::new(RealFftPlan::new(size)?);
-        self.rfft.insert(size, Arc::clone(&plan));
-        Ok(plan)
-    }
-
     /// Number of cached plans (all kinds).
     #[must_use]
     pub fn len(&self) -> usize {
-        self.radix2.len() + self.bluestein.len() + self.rfft.len()
+        self.radix2.len() + self.bluestein.len()
     }
 
     /// `true` when no plan has been built yet.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.radix2.is_empty() && self.bluestein.is_empty() && self.rfft.is_empty()
+        self.radix2.is_empty() && self.bluestein.is_empty()
     }
 }
 
@@ -180,12 +162,11 @@ impl DspScratch {
 /// Build one per worker (contexts are cheap but not shared — each worker
 /// thread owns its own) and thread it through the `*_into` entry points.
 ///
-/// Since the multi-backend redesign a context also carries its
-/// [`DspBackend`] selection and the backend-specific state: f32 plans
-/// and scratch for [`DspBackend::F32`], and matched-filter kernel
-/// spectrum caches for the [`DspBackend::RealFft`] and f32 paths. The
-/// default remains [`DspBackend::ScalarF64`], whose kernels are
-/// bit-identical to the historical pipeline.
+/// A context also carries its [`DspBackend`] selection and the f32
+/// backend's state: single-precision plans, scratch and matched-filter
+/// kernel spectra for [`DspBackend::F32`]. The default remains
+/// [`DspBackend::ScalarF64`], whose kernels are bit-identical to the
+/// historical pipeline.
 #[derive(Debug, Default)]
 pub struct DspContext {
     /// Cached FFT plans.
@@ -197,10 +178,8 @@ pub struct DspContext {
     /// Single-precision plans and scratch (populated only by the f32
     /// backend).
     pub(crate) fp32: Fp32Engine,
-    /// Cached forward spectra of matched-filter kernels, keyed by
-    /// `(kernel_id, transform_len)`.
-    pub(crate) kernel_spectra: HashMap<(u64, usize), Arc<Vec<Complex64>>>,
-    /// Single-precision kernel spectra for the f32 backend.
+    /// Cached single-precision forward spectra of matched-filter
+    /// kernels, keyed by `(kernel_id, transform_len)`.
     pub(crate) kernel_spectra32: HashMap<(u64, usize), Arc<Vec<Complex32>>>,
 }
 

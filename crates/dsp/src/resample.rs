@@ -137,46 +137,6 @@ pub fn upsample_fft_into(
     Ok(())
 }
 
-/// Upsamples a real signal by an integer factor, returning real samples.
-///
-/// # Errors
-///
-/// Same conditions as [`upsample_fft`].
-pub fn upsample_real(signal: &[f64], factor: usize) -> Result<Vec<f64>, DspError> {
-    let complex: Vec<Complex64> = signal.iter().map(|&x| Complex64::from_real(x)).collect();
-    Ok(upsample_fft(&complex, factor)?
-        .into_iter()
-        .map(|z| z.re)
-        .collect())
-}
-
-/// Applies a circular fractional delay of `delay` samples (may be negative
-/// or non-integer) using the FFT shift theorem.
-///
-/// # Errors
-///
-/// Returns [`DspError::EmptyInput`] when `signal` is empty.
-pub fn fractional_delay(signal: &[Complex64], delay: f64) -> Result<Vec<Complex64>, DspError> {
-    if signal.is_empty() {
-        return Err(DspError::EmptyInput);
-    }
-    let n = signal.len();
-    let plan = BluesteinPlan::new(n)?;
-    let mut spectrum = signal.to_vec();
-    plan.forward(&mut spectrum);
-    for (k, z) in spectrum.iter_mut().enumerate() {
-        // Signed frequency index for proper phase ramp.
-        let freq = if k <= n / 2 {
-            k as f64
-        } else {
-            k as f64 - n as f64
-        };
-        *z *= Complex64::cis(-2.0 * std::f64::consts::PI * freq * delay / n as f64);
-    }
-    plan.inverse(&mut spectrum);
-    Ok(spectrum)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -264,48 +224,5 @@ mod tests {
             upsample_fft_into(&[Complex64::ONE], 0, &mut out, &mut ctx),
             Err(DspError::InvalidFactor { factor: 0 })
         ));
-    }
-
-    #[test]
-    fn real_wrapper_matches_complex_path() {
-        let signal = [0.0, 1.0, 0.0, -1.0, 0.0, 1.0, 0.0, -1.0];
-        let up = upsample_real(&signal, 2).unwrap();
-        assert_eq!(up.len(), 16);
-        for (k, &orig) in signal.iter().enumerate() {
-            assert!((up[2 * k] - orig).abs() < 1e-8);
-        }
-    }
-
-    #[test]
-    fn fractional_delay_integer_shift() {
-        let n = 32;
-        let mut signal = vec![Complex64::ZERO; n];
-        // Use a smooth (band-limited) signal to avoid Gibbs artefacts.
-        for (i, z) in signal.iter_mut().enumerate() {
-            *z = Complex64::from_real(
-                (2.0 * std::f64::consts::PI * 2.0 * i as f64 / n as f64).sin(),
-            );
-        }
-        let shifted = fractional_delay(&signal, 3.0).unwrap();
-        for (i, s) in shifted.iter().enumerate() {
-            let src = (i + n - 3) % n;
-            assert!((*s - signal[src]).abs() < 1e-8, "i={i}");
-        }
-    }
-
-    #[test]
-    fn fractional_delay_half_sample_on_sinusoid() {
-        let n = 64;
-        let f = 2.0;
-        let signal: Vec<Complex64> = (0..n)
-            .map(|i| {
-                Complex64::from_real((2.0 * std::f64::consts::PI * f * i as f64 / n as f64).sin())
-            })
-            .collect();
-        let shifted = fractional_delay(&signal, 0.5).unwrap();
-        for (i, z) in shifted.iter().enumerate() {
-            let expected = (2.0 * std::f64::consts::PI * f * (i as f64 - 0.5) / n as f64).sin();
-            assert!((z.re - expected).abs() < 1e-8, "i={i}");
-        }
     }
 }

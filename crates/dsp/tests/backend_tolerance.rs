@@ -1,25 +1,19 @@
 //! Cross-backend tolerance contract for the [`Kernels`] kernel set.
 //!
-//! The redesign's correctness argument has three legs, each asserted
+//! The redesign's correctness argument has two legs, each asserted
 //! here at the kernel level (the end-to-end ToA leg lives in
 //! `uwb-core`'s detection tests):
 //!
 //! 1. **ScalarF64 is bit-identical** to the historical allocating
 //!    pipeline — not "close", *equal* — because campaign determinism
 //!    hashes detector outputs.
-//! 2. **RealFft is f64-exact up to FFT reassociation**: it computes the
-//!    same convolution with the same transform length, differing only
-//!    in where the kernel spectrum came from, so outputs agree to
-//!    ~1e-9 of the peak.
-//! 3. **F32 errors are bounded by rounding analysis**: a length-K
+//! 2. **F32 errors are bounded by rounding analysis**: a length-K
 //!    transform accumulates ≈ log₂K half-ulp roundings on values of
 //!    magnitude ≈ the signal envelope, so relative error stays around
 //!    `2⁻²⁴·log₂K` — orders of magnitude below the CIR noise floor any
 //!    detector threshold sits on.
 
-use uwb_dsp::{
-    upsample_fft, Complex64, DspBackend, DspContext, Kernels, MatchedFilter, RealFftPlan,
-};
+use uwb_dsp::{upsample_fft, Complex64, DspBackend, DspContext, Kernels, MatchedFilter};
 
 /// Deterministic xorshift so the proptest-style sweeps need no
 /// external RNG crate.
@@ -50,27 +44,6 @@ fn pulse_template(len: usize, width: f64) -> Vec<f64> {
 }
 
 #[test]
-fn real_fft_equals_complex_fft_for_random_real_input() {
-    let mut rng = Rng(0x9e3779b97f4a7c15);
-    for &n in &[2usize, 8, 64, 512, 4096] {
-        for trial in 0..8 {
-            let input: Vec<f64> = (0..n).map(|_| rng.next_f64()).collect();
-            let mut complex: Vec<Complex64> =
-                input.iter().map(|&x| Complex64::from_real(x)).collect();
-            // Pad-free power-of-two length: the plain radix-2 reference.
-            uwb_dsp::fft(&mut complex).unwrap();
-            let real = RealFftPlan::new(n).unwrap().forward(&input);
-            for (k, (x, y)) in real.iter().zip(&complex).enumerate() {
-                assert!(
-                    (*x - *y).abs() < 1e-11 * n as f64,
-                    "n={n} trial={trial} bin={k}: {x} vs {y}"
-                );
-            }
-        }
-    }
-}
-
-#[test]
 fn matched_filter_backends_agree_across_random_shapes() {
     let mut rng = Rng(0xdeadbeefcafef00d);
     // Mix of direct-path and FFT-path shapes, including the paper's
@@ -87,18 +60,16 @@ fn matched_filter_backends_agree_across_random_shapes() {
             .unwrap();
         let peak = reference.iter().cloned().fold(0.0f64, f64::max);
 
-        for (backend, tol) in [(DspBackend::RealFft, 1e-9), (DspBackend::F32, 1e-3)] {
-            let mut ctx = DspContext::with_backend(backend);
-            let mut out = Vec::new();
-            ctx.matched_filter_mags_into(&filter, &signal, &mut out)
-                .unwrap();
-            assert_eq!(out.len(), reference.len());
-            for (i, (x, y)) in reference.iter().zip(&out).enumerate() {
-                assert!(
-                    (x - y).abs() <= tol * peak,
-                    "{backend} ({signal_len}x{kernel_len}) sample {i}: {x} vs {y} (peak {peak})"
-                );
-            }
+        let mut ctx = DspContext::with_backend(DspBackend::F32);
+        let mut out = Vec::new();
+        ctx.matched_filter_mags_into(&filter, &signal, &mut out)
+            .unwrap();
+        assert_eq!(out.len(), reference.len());
+        for (i, (x, y)) in reference.iter().zip(&out).enumerate() {
+            assert!(
+                (x - y).abs() <= 1e-3 * peak,
+                "f32 ({signal_len}x{kernel_len}) sample {i}: {x} vs {y} (peak {peak})"
+            );
         }
     }
 }
@@ -110,13 +81,11 @@ fn upsample_backends_agree_for_cir_length() {
     let reference = upsample_fft(&signal, 8).unwrap();
     let envelope = reference.iter().map(|z| z.abs()).fold(0.0f64, f64::max);
 
-    // f64 backends must reproduce the allocating path bit for bit.
-    for backend in [DspBackend::ScalarF64, DspBackend::RealFft] {
-        let mut ctx = DspContext::with_backend(backend);
-        let mut out = Vec::new();
-        ctx.upsample_into(&signal, 8, &mut out).unwrap();
-        assert_eq!(out, reference, "{backend}");
-    }
+    // The f64 backend must reproduce the allocating path bit for bit.
+    let mut ctx = DspContext::with_backend(DspBackend::ScalarF64);
+    let mut out = Vec::new();
+    ctx.upsample_into(&signal, 8, &mut out).unwrap();
+    assert_eq!(out, reference);
 
     let mut ctx = DspContext::with_backend(DspBackend::F32);
     let mut out = Vec::new();
@@ -135,7 +104,6 @@ fn env_selected_backend_matches_explicit_construction() {
     // parse() is the pure core of the env knob — exercising it here
     // avoids mutating process environment in a threaded test binary.
     assert_eq!(DspBackend::parse("f64"), Some(DspBackend::ScalarF64));
-    assert_eq!(DspBackend::parse(" RFFT "), Some(DspBackend::RealFft));
     assert_eq!(DspBackend::parse("F32"), Some(DspBackend::F32));
     assert_eq!(DspBackend::parse("avx512"), None);
     for backend in DspBackend::ALL {
@@ -160,9 +128,9 @@ fn backend_switch_preserves_results_and_caches() {
     ctx.matched_filter_mags_into(&filter, &signal, &mut scalar_out)
         .unwrap();
 
-    ctx.set_backend(DspBackend::RealFft);
-    let mut rfft_out = Vec::new();
-    ctx.matched_filter_mags_into(&filter, &signal, &mut rfft_out)
+    ctx.set_backend(DspBackend::F32);
+    let mut f32_out = Vec::new();
+    ctx.matched_filter_mags_into(&filter, &signal, &mut f32_out)
         .unwrap();
 
     ctx.set_backend(DspBackend::ScalarF64);
@@ -175,7 +143,7 @@ fn backend_switch_preserves_results_and_caches() {
     );
 
     let peak = scalar_out.iter().cloned().fold(0.0f64, f64::max);
-    for (x, y) in scalar_out.iter().zip(&rfft_out) {
-        assert!((x - y).abs() < 1e-9 * peak);
+    for (x, y) in scalar_out.iter().zip(&f32_out) {
+        assert!((x - y).abs() < 1e-3 * peak);
     }
 }

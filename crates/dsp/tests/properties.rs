@@ -2,9 +2,9 @@
 
 use proptest::prelude::*;
 use uwb_dsp::{
-    convolve, convolve_into, correlate, correlate_into, dft_reference, fft, fractional_delay, ifft,
-    noise_floor, parabolic_interpolation, stats, upsample_fft, upsample_fft_into, BluesteinPlan,
-    Complex64, Direction, DspContext, MatchedFilter,
+    convolve, convolve_into, correlate, correlate_into, dft_reference, fft, ifft, noise_floor,
+    parabolic_interpolation, stats, upsample_fft, upsample_fft_into, BluesteinPlan, Complex64,
+    Direction, DspContext, MatchedFilter,
 };
 
 fn complex_vec(
@@ -112,13 +112,6 @@ proptest! {
         for (k, &orig) in data.iter().enumerate() {
             prop_assert!((up[k * factor] - orig).abs() < 1e-6);
         }
-    }
-
-    #[test]
-    fn fractional_delay_roundtrip(data in complex_vec(2..64), delay in -8.0f64..8.0) {
-        let shifted = fractional_delay(&data, delay).unwrap();
-        let back = fractional_delay(&shifted, -delay).unwrap();
-        prop_assert!(max_abs_diff(&back, &data) < 1e-5);
     }
 
     #[test]

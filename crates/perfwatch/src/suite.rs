@@ -32,10 +32,7 @@ use concurrent_ranging::detection::{
 };
 use concurrent_ranging::{RangingPipeline, RoundContext, RoundProgram, SlotPlan};
 use std::sync::{Mutex, OnceLock};
-use uwb_dsp::{
-    BluesteinPlan, Complex64, DspBackend, DspContext, DspScratch, FftPlan, Kernels, MatchedFilter,
-    RealFftPlan,
-};
+use uwb_dsp::{BluesteinPlan, Complex64, DspBackend, DspContext, FftPlan, Kernels, MatchedFilter};
 use uwb_obs::{measure_ns, median, median_abs_deviation, per_second, ProfileNode, Stopwatch};
 use uwb_radio::{Channel, Cir, PulseShape, RadioConfig, TcPgDelay, CIR_SAMPLE_PERIOD_S};
 
@@ -191,30 +188,6 @@ fn build_workloads(threads: usize) -> Vec<Workload> {
                 plan.forward(&mut buf);
                 plan.inverse(&mut buf);
                 std::hint::black_box(&buf);
-            }),
-        });
-    }
-
-    {
-        // The real-input forward FFT (pack-two-reals): the transform the
-        // RealFft backend feeds real-valued matched-filter kernels
-        // through. Its work column evidences the saving — a 512-point
-        // half-size transform plus N/2 untangle ops instead of the full
-        // 1024-point complex butterfly count of the radix-2 row above.
-        let plan = RealFftPlan::new(1024).expect("power-of-two real-FFT plan");
-        let input: Vec<f64> = (0..1024).map(|i| (i as f64 * 0.37).sin()).collect();
-        let mut scratch = DspScratch::new();
-        let mut out: Vec<Complex64> = Vec::new();
-        workloads.push(Workload {
-            name: "dsp.rfft_1024",
-            layer: "dsp",
-            units: "points",
-            units_per_iter: 1024.0,
-            default_iters: 300,
-            default_warmup: 10,
-            run: Box::new(move || {
-                plan.forward_into(&input, &mut out, &mut scratch);
-                std::hint::black_box(&out);
             }),
         });
     }
@@ -776,24 +749,6 @@ mod tests {
         // butterflies, a pure function of the input.
         assert_eq!(a[0].work_ops, Some(2 * 512 * 10));
         assert_eq!(a[0].work_ops, b[0].work_ops);
-    }
-
-    #[test]
-    fn rfft_row_does_half_the_butterfly_work_of_the_complex_row() {
-        let config = SuiteConfig {
-            iters: Some(1),
-            warmup: Some(0),
-            filter: Some("dsp.rfft_1024".to_string()),
-            ..SuiteConfig::default()
-        };
-        let (rows, profile) = run_suite(&config, |_| {});
-        // One forward real FFT of N = 1024: a 512-point half-size
-        // transform ((512/2)·log2(512) butterflies) plus N/2 untangle
-        // ops — well under the 5120 butterflies of one 1024-point
-        // complex transform.
-        assert_eq!(rows[0].work_ops, Some(256 * 9 + 512));
-        let scope = profile.children.get("dsp.rfft_1024").expect("scope");
-        assert_eq!(scope.work.get("rfft.untangle").copied(), Some(512));
     }
 
     #[test]
