@@ -4,6 +4,12 @@
 set -euo pipefail
 cd "$(dirname "$0")"
 
+# Every smoke artifact (reports, telemetry, profiles, UWB_RESULTS_DIR
+# targets) lives in one private directory, so two runs on one host never
+# overwrite each other's files between write and diff.
+CI_TMP=$(mktemp -d)
+trap 'rm -rf "$CI_TMP"' EXIT
+
 echo "==> cargo fmt --check"
 cargo fmt --check
 
@@ -31,41 +37,41 @@ echo "==> exp_capacity_sweep smoke (N ≤ 64, 20 trials)"
 # table is byte-identical for any --threads / UWB_WORLDSIM_THREADS.
 # UWB_RESULTS_DIR keeps every capacity smoke's reduced-resolution CSV
 # away from the committed full-sweep results/capacity_sweep.csv.
-UWB_RESULTS_DIR=/tmp/capacity_smoke_results \
-    ./target/release/exp_capacity_sweep --n 64 --trials 20 --threads 1 > /tmp/capacity_t1.txt
-UWB_RESULTS_DIR=/tmp/capacity_smoke_results \
-    ./target/release/exp_capacity_sweep --n 64 --trials 20 --threads 4 > /tmp/capacity_t4.txt
-diff /tmp/capacity_t1.txt /tmp/capacity_t4.txt
+UWB_RESULTS_DIR="$CI_TMP/capacity_smoke_results" \
+    ./target/release/exp_capacity_sweep --n 64 --trials 20 --threads 1 > "$CI_TMP/capacity_t1.txt"
+UWB_RESULTS_DIR="$CI_TMP/capacity_smoke_results" \
+    ./target/release/exp_capacity_sweep --n 64 --trials 20 --threads 4 > "$CI_TMP/capacity_t4.txt"
+diff "$CI_TMP/capacity_t1.txt" "$CI_TMP/capacity_t4.txt"
 
 echo "==> epoch telemetry smoke (byte-identical at 1 vs 4 threads)"
 # The observability acceptance gate: the merged epoch telemetry stream
 # (JSONL and the Prometheus-style text exposition) must diff clean
 # across thread counts, and `uwb-trace epochs` must validate the schema
 # and render the table + shard heatmap.
-UWB_RESULTS_DIR=/tmp/capacity_smoke_results \
+UWB_RESULTS_DIR="$CI_TMP/capacity_smoke_results" \
     ./target/release/exp_capacity_sweep --n 64 --trials 5 --threads 1 \
-    --telemetry=/tmp/telemetry_t1.jsonl >/dev/null
-UWB_RESULTS_DIR=/tmp/capacity_smoke_results \
+    --telemetry="$CI_TMP/telemetry_t1.jsonl" >/dev/null
+UWB_RESULTS_DIR="$CI_TMP/capacity_smoke_results" \
     ./target/release/exp_capacity_sweep --n 64 --trials 5 --threads 4 \
-    --telemetry=/tmp/telemetry_t4.jsonl >/dev/null
-diff /tmp/telemetry_t1.jsonl /tmp/telemetry_t4.jsonl
-diff /tmp/telemetry_t1.prom /tmp/telemetry_t4.prom
-./target/release/uwb-trace epochs /tmp/telemetry_t1.jsonl >/dev/null
+    --telemetry="$CI_TMP/telemetry_t4.jsonl" >/dev/null
+diff "$CI_TMP/telemetry_t1.jsonl" "$CI_TMP/telemetry_t4.jsonl"
+diff "$CI_TMP/telemetry_t1.prom" "$CI_TMP/telemetry_t4.prom"
+./target/release/uwb-trace epochs "$CI_TMP/telemetry_t1.jsonl" >/dev/null
 
 echo "==> causal frame tracing smoke (TX → identify chain reconstructs)"
 # Record one traced capacity run with unbounded shard rings, pick an
 # arbitrary identified frame, and require `uwb-trace causal` to walk
 # its span chain all the way back to the TX root.
-UWB_RESULTS_DIR=/tmp/capacity_smoke_results UWB_NETSIM_TRACE_QUOTA=0 \
+UWB_RESULTS_DIR="$CI_TMP/capacity_smoke_results" UWB_NETSIM_TRACE_QUOTA=0 \
     ./target/release/exp_capacity_sweep \
-    --n 64 --trials 1 --threads 4 --trace-out=/tmp/causal_smoke.jsonl >/dev/null
+    --n 64 --trials 1 --threads 4 --trace-out="$CI_TMP/causal_smoke.jsonl" >/dev/null
 # -m1 (not `| head`): head's early exit would SIGPIPE grep, which
 # pipefail turns into a spurious gate failure.
-FRAME=$(grep -m1 '"stage":"world.identify"' /tmp/causal_smoke.jsonl \
+FRAME=$(grep -m1 '"stage":"world.identify"' "$CI_TMP/causal_smoke.jsonl" \
     | grep -om1 '"frame":"[0-9a-f]*"' | grep -o '[0-9a-f]\{16\}')
-./target/release/uwb-trace causal "$FRAME" /tmp/causal_smoke.jsonl > /tmp/causal_chain.txt
-grep -q "world.identify" /tmp/causal_chain.txt
-grep -q "world.tx" /tmp/causal_chain.txt
+./target/release/uwb-trace causal "$FRAME" "$CI_TMP/causal_smoke.jsonl" > "$CI_TMP/causal_chain.txt"
+grep -q "world.identify" "$CI_TMP/causal_chain.txt"
+grep -q "world.tx" "$CI_TMP/causal_chain.txt"
 
 echo "==> work profiler smoke (byte-identical at 1 vs 4 threads)"
 # The cost-model acceptance gate: the merged collapsed work profile of a
@@ -74,29 +80,29 @@ echo "==> work profiler smoke (byte-identical at 1 vs 4 threads)"
 # `uwb-trace flame` must parse the file and render the flame view.
 # UWB_RESULTS_DIR keeps the smoke's 96-trial CSV away from the
 # committed full-resolution results/fig7_overlap.csv artifact.
-UWB_RESULTS_DIR=/tmp/profile_smoke_results REPRO_TRIALS=96 \
+UWB_RESULTS_DIR="$CI_TMP/profile_smoke_results" REPRO_TRIALS=96 \
     ./target/release/exp_fig7_overlap \
-    --threads 1 --profile=/tmp/profile_t1.collapsed >/dev/null
-UWB_RESULTS_DIR=/tmp/profile_smoke_results REPRO_TRIALS=96 \
+    --threads 1 --profile="$CI_TMP/profile_t1.collapsed" >/dev/null
+UWB_RESULTS_DIR="$CI_TMP/profile_smoke_results" REPRO_TRIALS=96 \
     ./target/release/exp_fig7_overlap \
-    --threads 4 --profile=/tmp/profile_t4.collapsed >/dev/null
-diff /tmp/profile_t1.collapsed /tmp/profile_t4.collapsed
-./target/release/uwb-trace flame /tmp/profile_t1.collapsed > /tmp/flame_smoke.txt
-grep -q "total work:" /tmp/flame_smoke.txt
-grep -q "work:fft.butterfly" /tmp/profile_t1.collapsed
+    --threads 4 --profile="$CI_TMP/profile_t4.collapsed" >/dev/null
+diff "$CI_TMP/profile_t1.collapsed" "$CI_TMP/profile_t4.collapsed"
+./target/release/uwb-trace flame "$CI_TMP/profile_t1.collapsed" > "$CI_TMP/flame_smoke.txt"
+grep -q "total work:" "$CI_TMP/flame_smoke.txt"
+grep -q "work:fft.butterfly" "$CI_TMP/profile_t1.collapsed"
 
 echo "==> DSP backend smoke (f64 byte-identical; f32 runs clean)"
 # The two-backend acceptance gate: an explicit --dsp-backend f64 run
 # must emit a byte-identical report to the default run (the scalar f64
 # backend IS the historical pipeline), and the f32 backend must
 # complete the same campaign cleanly.
-UWB_RESULTS_DIR=/tmp/backend_smoke_results REPRO_TRIALS=20 \
-    ./target/release/exp_fig7_overlap --threads 2 > /tmp/fig7_default.txt
-UWB_RESULTS_DIR=/tmp/backend_smoke_results REPRO_TRIALS=20 \
+UWB_RESULTS_DIR="$CI_TMP/backend_smoke_results" REPRO_TRIALS=20 \
+    ./target/release/exp_fig7_overlap --threads 2 > "$CI_TMP/fig7_default.txt"
+UWB_RESULTS_DIR="$CI_TMP/backend_smoke_results" REPRO_TRIALS=20 \
     ./target/release/exp_fig7_overlap --threads 2 --dsp-backend f64 \
-    > /tmp/fig7_backend_f64.txt
-diff /tmp/fig7_default.txt /tmp/fig7_backend_f64.txt
-UWB_RESULTS_DIR=/tmp/backend_smoke_results REPRO_TRIALS=20 \
+    > "$CI_TMP/fig7_backend_f64.txt"
+diff "$CI_TMP/fig7_default.txt" "$CI_TMP/fig7_backend_f64.txt"
+UWB_RESULTS_DIR="$CI_TMP/backend_smoke_results" REPRO_TRIALS=20 \
     ./target/release/exp_fig7_overlap --threads 2 --dsp-backend f32 >/dev/null
 
 echo "==> streaming pipeline smoke (feed_round byte-identical to batch)"
@@ -104,16 +110,16 @@ echo "==> streaming pipeline smoke (feed_round byte-identical to batch)"
 # through the streaming RangingPipeline (one round at a time, one
 # long-lived warmed context) must print a byte-identical report to the
 # batch campaign run captured above.
-UWB_RESULTS_DIR=/tmp/backend_smoke_results REPRO_TRIALS=20 \
-    ./target/release/exp_fig7_overlap --stream > /tmp/fig7_stream.txt
-diff /tmp/fig7_default.txt /tmp/fig7_stream.txt
+UWB_RESULTS_DIR="$CI_TMP/backend_smoke_results" REPRO_TRIALS=20 \
+    ./target/release/exp_fig7_overlap --stream > "$CI_TMP/fig7_stream.txt"
+diff "$CI_TMP/fig7_default.txt" "$CI_TMP/fig7_stream.txt"
 
 echo "==> perfwatch bench smoke (1 iteration, no warmup)"
 # Not a performance measurement — only proves the whole suite still
 # runs end to end and emits a parseable, complete document. Full runs
 # stay manual (see README "Performance observatory").
-./target/release/perfwatch --iters 1 --warmup 0 --out /tmp/bench_smoke.json >/dev/null
-./target/release/perfwatch --validate /tmp/bench_smoke.json
+./target/release/perfwatch --iters 1 --warmup 0 --out "$CI_TMP/bench_smoke.json" >/dev/null
+./target/release/perfwatch --validate "$CI_TMP/bench_smoke.json"
 echo "==> perfwatch committed-baseline validation"
 ./target/release/perfwatch --validate BENCH_pipeline.json
 
@@ -124,13 +130,13 @@ echo "==> perfwatch work-gate smoke (phantom work must fail --check)"
 # with UWB_PERFWATCH_INFLATE_WORK injecting phantom ops — invisible to
 # any timing statistic — must exit non-zero.
 ./target/release/perfwatch --iters 1 --warmup 0 --filter rpm.decode \
-    --out /tmp/bench_work_base.json >/dev/null
+    --out "$CI_TMP/bench_work_base.json" >/dev/null
 ./target/release/perfwatch --iters 1 --warmup 0 --filter rpm.decode \
-    --noise-pct 10000 --baseline /tmp/bench_work_base.json \
-    --out /tmp/bench_work_honest.json --check >/dev/null
+    --noise-pct 10000 --baseline "$CI_TMP/bench_work_base.json" \
+    --out "$CI_TMP/bench_work_honest.json" --check >/dev/null
 if UWB_PERFWATCH_INFLATE_WORK=1000 ./target/release/perfwatch \
     --iters 1 --warmup 0 --filter rpm.decode --noise-pct 10000 \
-    --baseline /tmp/bench_work_base.json --out /tmp/bench_work_inflated.json \
+    --baseline "$CI_TMP/bench_work_base.json" --out "$CI_TMP/bench_work_inflated.json" \
     --check >/dev/null 2>&1; then
     echo "work-gate smoke FAILED: inflated work passed --check" >&2
     exit 1
@@ -144,7 +150,7 @@ echo "==> perfwatch count-alloc smoke (planned hot path stays allocation-free)"
 cargo build --release -p uwb-perfwatch --features count-alloc
 ./target/release/perfwatch --iters 1 --warmup 1 \
     --filter dsp.matched_filter_1016,detect.search_subtract,detect.shape_classify \
-    --max-allocs 4 --out /tmp/bench_alloc_smoke.json >/dev/null
+    --max-allocs 4 --out "$CI_TMP/bench_alloc_smoke.json" >/dev/null
 # Restore the default-feature binary for anyone running artifacts next.
 cargo build --release -p uwb-perfwatch
 

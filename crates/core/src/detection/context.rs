@@ -85,11 +85,4 @@ impl DetectorContext {
     pub fn backend(&self) -> DspBackend {
         self.dsp.backend()
     }
-
-    /// The underlying DSP context (plan cache + scratch arena + backend
-    /// selection), for callers that mix detection with their own planned
-    /// DSP work or switch backends mid-stream.
-    pub fn dsp_mut(&mut self) -> &mut DspContext {
-        &mut self.dsp
-    }
 }

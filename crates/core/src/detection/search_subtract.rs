@@ -79,21 +79,6 @@ pub struct DetectionDiagnostics {
     pub residual_mf_magnitude: Vec<Vec<f64>>,
 }
 
-impl DetectionDiagnostics {
-    /// Streaming statistics over the post-subtraction residual energies,
-    /// one observation per iteration — the summary the observability
-    /// layer reports instead of keeping bespoke detection counters (the
-    /// accumulator type is shared with the campaign engine).
-    #[must_use]
-    pub fn residual_energy_stats(&self) -> uwb_obs::ScalarStats {
-        let mut stats = uwb_obs::ScalarStats::new();
-        for residual in &self.residual_mf_magnitude {
-            stats.record(residual.iter().map(|m| m * m).sum());
-        }
-        stats
-    }
-}
-
 /// Result of a detection run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DetectionOutcome {
@@ -177,6 +162,8 @@ impl SearchSubtractDetector {
     }
 
     /// Runs detection for the `count` strongest responses in the CIR.
+    /// The search stops early once the residual holds no energy, so a
+    /// silent CIR yields no responses.
     ///
     /// Convenience wrapper around [`SearchSubtractDetector::detect_with`]
     /// that builds a throwaway [`DetectorContext`] per call. Hot callers
@@ -246,6 +233,8 @@ impl SearchSubtractDetector {
             // shapes and delays marks the strongest path. The kernel fuses
             // convolution and magnitudes so non-default backends never
             // materialize complex output they would immediately collapse.
+            // A peak must carry energy: on a silent residual the search
+            // ends instead of recording a zero-amplitude response.
             let mut best: Option<(usize, usize, f64)> = None; // (template, index, magnitude)
             for (ti, template) in self.templates.iter().enumerate() {
                 dsp.matched_filter_mags_into(template.filter(), residual, mags)?;
@@ -253,7 +242,7 @@ impl SearchSubtractDetector {
                     diagnostics.first_mf_magnitude.push(mags.clone());
                 }
                 if let Some((idx, val)) = uwb_dsp::argmax(mags) {
-                    if best.is_none_or(|(_, _, b)| val > b) {
+                    if val > best.map_or(0.0, |(_, _, b)| b) {
                         best = Some((ti, idx, val));
                         // The winner's magnitudes park in `best_mf`; the
                         // displaced buffer is recycled for the next template.
@@ -471,6 +460,17 @@ mod tests {
             d.detect(&cir, 0),
             Err(RangingError::NoResponsesRequested)
         ));
+    }
+
+    #[test]
+    fn silent_cir_yields_no_responses_on_every_backend() {
+        let d = detector(3);
+        let cir = Cir::zeroed(Prf::Mhz64);
+        for backend in DspBackend::ALL {
+            let mut ctx = DetectorContext::with_backend(backend);
+            let out = d.detect_with(&mut ctx, &cir, 3).unwrap();
+            assert!(out.responses.is_empty(), "{backend:?}: {:?}", out.responses);
+        }
     }
 
     #[test]

@@ -64,15 +64,11 @@
 #![warn(missing_docs)]
 
 mod assignment;
-pub mod cir_features;
 mod concurrent;
-mod cooperative;
 pub mod detection;
-mod dstwr;
 mod error;
 mod estimate;
 pub(crate) mod localization;
-mod network;
 pub mod pipeline;
 mod protocol;
 mod rpm;
@@ -85,12 +81,9 @@ pub use concurrent::{
     ConcurrentConfig, ConcurrentEngine, ResponderEstimate, ResponderHealth, ResponderStatus,
     RoundOutcome,
 };
-pub use cooperative::{solve_cooperative, CooperativeFix, NodeRole};
-pub use dstwr::{DsTwrEngine, DsTwrMeasurement, DsTwrTimestamps};
 pub use error::RangingError;
 pub use estimate::{concurrent_distance_m, concurrent_distance_with_rpm_m, TwrTimestamps};
 pub use localization::{multilaterate, PositionFix, RangeToAnchor};
-pub use network::{DistanceMatrix, NetworkRanging, TrafficCounter};
 pub use pipeline::{
     DetectStage, RangingPipeline, RenderStage, RoundContext, RoundProgram, ShapeClassifyStage,
     SlotDecodeStage, SlotReference, SolveStage,

@@ -1,7 +1,7 @@
 //! The context layer: one [`RoundContext`] owning every per-round
-//! resource, replacing the ad-hoc threading of the same four concerns
-//! (DSP plans, CIR scratch, fault stream, telemetry parent) that each
-//! execution plane used to do differently.
+//! resource, replacing the ad-hoc threading of the same three concerns
+//! (DSP plans, CIR scratch, fault stream) that each execution plane used
+//! to do differently.
 
 use crate::detection::DetectorContext;
 use uwb_dsp::DspBackend;
@@ -29,7 +29,6 @@ pub struct RoundContext {
     detector: DetectorContext,
     cir: Cir,
     injector: Option<FaultInjector>,
-    span_parent: Option<u64>,
 }
 
 impl RoundContext {
@@ -53,7 +52,6 @@ impl RoundContext {
             detector,
             cir: Cir::zeroed(Prf::Mhz64),
             injector: None,
-            span_parent: None,
         }
     }
 
@@ -97,19 +95,6 @@ impl RoundContext {
     pub fn has_injector(&self) -> bool {
         self.injector.is_some()
     }
-
-    /// Sets the telemetry span this context's rounds hang under (a
-    /// `uwb_obs::span_id`), so drivers that emit causal span chains can
-    /// parent per-round events without threading the id separately.
-    pub fn set_span_parent(&mut self, span: Option<u64>) {
-        self.span_parent = span;
-    }
-
-    /// The telemetry span parent, when the driver set one.
-    #[must_use]
-    pub fn span_parent(&self) -> Option<u64> {
-        self.span_parent
-    }
 }
 
 impl Default for RoundContext {
@@ -123,13 +108,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn fresh_context_has_no_injector_or_span() {
+    fn fresh_context_has_no_injector() {
         let mut ctx = RoundContext::new();
         assert!(!ctx.has_injector());
         assert!(ctx.injector_mut().is_none());
-        assert_eq!(ctx.span_parent(), None);
-        ctx.set_span_parent(Some(7));
-        assert_eq!(ctx.span_parent(), Some(7));
     }
 
     #[test]

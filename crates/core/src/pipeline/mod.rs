@@ -13,7 +13,7 @@
 //! | Layer | Types | Role |
 //! |---|---|---|
 //! | stage | [`RenderStage`], [`DetectStage`], [`SlotDecodeStage`], [`ShapeClassifyStage`], [`SolveStage`] | each paper technique exactly once |
-//! | context | [`RoundContext`] | every per-round resource: detection plans/buffers, CIR scratch, fault stream, telemetry span parent |
+//! | context | [`RoundContext`] | every per-round resource: detection plans/buffers, CIR scratch, fault stream |
 //! | driver | [`RangingPipeline`] (streaming), `uwb_campaign::Campaign::run_with_context` (batch), worldsim epochs | scheduling only — no algorithm code |
 //!
 //! Determinism contract: the stages delegate to the exact primitives

@@ -74,7 +74,7 @@ impl<P: RoundProgram> RangingPipeline<P> {
     }
 
     /// A pipeline over an explicitly prepared context (pinned backend,
-    /// pre-installed fault stream, telemetry span parent).
+    /// pre-installed fault stream).
     pub fn with_context(program: P, ctx: RoundContext) -> Self {
         Self {
             program,
@@ -99,12 +99,6 @@ impl<P: RoundProgram> RangingPipeline<P> {
     /// The program driven by this pipeline.
     pub fn program(&self) -> &P {
         &self.program
-    }
-
-    /// The long-lived context (e.g. to install a fault stream or span
-    /// parent between rounds).
-    pub fn context_mut(&mut self) -> &mut RoundContext {
-        &mut self.ctx
     }
 
     /// The long-lived context, read-only.

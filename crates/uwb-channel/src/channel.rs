@@ -190,12 +190,6 @@ impl ChannelModel {
         &self.config
     }
 
-    /// Mutable access to the configuration (e.g. to toggle NLOS between
-    /// experiment trials).
-    pub fn config_mut(&mut self) -> &mut ChannelConfig {
-        &mut self.config
-    }
-
     /// The room, if any.
     pub fn room(&self) -> Option<&Room> {
         self.room.as_ref()

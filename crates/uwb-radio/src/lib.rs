@@ -44,7 +44,6 @@ mod cir;
 mod config;
 mod energy;
 mod error;
-mod preamble;
 mod pulse;
 mod registers;
 mod time;
@@ -54,10 +53,6 @@ pub use cir::{Cir, CIR_SAMPLE_PERIOD_S};
 pub use config::{Channel, DataRate, PreambleLength, Prf, RadioConfig};
 pub use energy::{EnergyLedger, EnergyModel, RadioState};
 pub use error::RadioError;
-pub use preamble::{
-    acquisition_probability, estimate_cir_from_preamble, MSequence, ACQUISITION_SNR_MIDPOINT_DB,
-    ACQUISITION_SNR_SCALE_DB,
-};
 pub use pulse::{PulseShape, SampledPulse};
 pub use registers::TcPgDelay;
 pub use time::{
