@@ -59,10 +59,10 @@ diff "$CI_TMP/telemetry_t1.prom" "$CI_TMP/telemetry_t4.prom"
 ./target/release/uwb-trace epochs "$CI_TMP/telemetry_t1.jsonl" >/dev/null
 
 echo "==> causal frame tracing smoke (TX → identify chain reconstructs)"
-# Record one traced capacity run with unbounded shard rings, pick an
-# arbitrary identified frame, and require `uwb-trace causal` to walk
-# its span chain all the way back to the TX root.
-UWB_RESULTS_DIR="$CI_TMP/capacity_smoke_results" UWB_NETSIM_TRACE_QUOTA=0 \
+# Record one traced capacity run, pick an arbitrary identified frame,
+# and require `uwb-trace causal` to walk its span chain all the way back
+# to the TX root.
+UWB_RESULTS_DIR="$CI_TMP/capacity_smoke_results" \
     ./target/release/exp_capacity_sweep \
     --n 64 --trials 1 --threads 4 --trace-out="$CI_TMP/causal_smoke.jsonl" >/dev/null
 # -m1 (not `| head`): head's early exit would SIGPIPE grep, which
@@ -72,6 +72,12 @@ FRAME=$(grep -m1 '"stage":"world.identify"' "$CI_TMP/causal_smoke.jsonl" \
 ./target/release/uwb-trace causal "$FRAME" "$CI_TMP/causal_smoke.jsonl" > "$CI_TMP/causal_chain.txt"
 grep -q "world.identify" "$CI_TMP/causal_chain.txt"
 grep -q "world.tx" "$CI_TMP/causal_chain.txt"
+# Each world TX is recorded once, as its world.tx root span. A bare
+# `! grep` would not trip `set -e`, hence the explicit exit.
+if grep -q '"stage":"netsim.tx"' "$CI_TMP/causal_smoke.jsonl"; then
+    echo "world trace records TXes twice (netsim.tx beside world.tx)" >&2
+    exit 1
+fi
 
 echo "==> work profiler smoke (byte-identical at 1 vs 4 threads)"
 # The cost-model acceptance gate: the merged collapsed work profile of a

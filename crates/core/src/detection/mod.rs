@@ -30,7 +30,27 @@ pub use shape_scores::ShapeScores;
 pub use templates::{template_bank, DetectionTemplate};
 pub use threshold::{ThresholdConfig, ThresholdDetector};
 
+use crate::error::RangingError;
 use uwb_dsp::Complex64;
+use uwb_radio::Cir;
+
+/// Rejects a CIR holding a NaN or infinite tap component, which would
+/// otherwise poison every matched-filter output and end detection with
+/// no responses, indistinguishable from a silent channel.
+fn check_finite_taps(cir: &Cir) -> Result<(), RangingError> {
+    match cir
+        .taps()
+        .iter()
+        .flat_map(|z| [z.re, z.im])
+        .find(|v| !v.is_finite())
+    {
+        Some(value) => Err(RangingError::InvalidParameter {
+            name: "cir_tap",
+            value,
+        }),
+        None => Ok(()),
+    }
+}
 
 /// One detected responder response: the `(α̂_k, τ_k)` pair of the paper,
 /// plus identification information.

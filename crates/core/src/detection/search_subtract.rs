@@ -16,7 +16,7 @@
 use crate::detection::context::DetectorContext;
 use crate::detection::shape_scores::ShapeScores;
 use crate::detection::templates::DetectionTemplate;
-use crate::detection::DetectedResponse;
+use crate::detection::{check_finite_taps, DetectedResponse};
 use crate::error::RangingError;
 use uwb_dsp::{parabolic_interpolation, DspBackend, Kernels};
 use uwb_radio::Cir;
@@ -172,6 +172,8 @@ impl SearchSubtractDetector {
     /// # Errors
     ///
     /// - [`RangingError::NoResponsesRequested`] when `count` is zero.
+    /// - [`RangingError::InvalidParameter`] (`cir_tap`) when a tap has a
+    ///   NaN or infinite component.
     /// - [`RangingError::Dsp`] if the CIR cannot be upsampled (cannot occur
     ///   for valid [`Cir`] buffers).
     pub fn detect(&self, cir: &Cir, count: usize) -> Result<DetectionOutcome, RangingError> {
@@ -207,6 +209,7 @@ impl SearchSubtractDetector {
         if count == 0 {
             return Err(RangingError::NoResponsesRequested);
         }
+        check_finite_taps(cir)?;
         uwb_obs::counter("detect.calls", 1);
         let sample_period_s = cir.sample_period_s() / self.config.upsample as f64;
         let DetectorContext {
@@ -470,6 +473,43 @@ mod tests {
             let mut ctx = DetectorContext::with_backend(backend);
             let out = d.detect_with(&mut ctx, &cir, 3).unwrap();
             assert!(out.responses.is_empty(), "{backend:?}: {:?}", out.responses);
+        }
+    }
+
+    #[test]
+    fn non_finite_tap_is_a_typed_error_on_every_backend() {
+        use crate::detection::{ThresholdConfig, ThresholdDetector};
+        let ss = detector(3);
+        let th = ThresholdDetector::new(ThresholdConfig::default()).unwrap();
+        let clean = render(
+            &[arrival(200.0, 1.0, 0.2), arrival(260.0, 0.7, 1.1)],
+            0.0,
+            9,
+        );
+        // (bad tap, the component the error must report)
+        for (bad, component) in [
+            (Complex64::new(f64::NAN, 0.0), f64::NAN),
+            (Complex64::new(f64::INFINITY, 0.0), f64::INFINITY),
+            (Complex64::new(0.0, f64::NEG_INFINITY), f64::NEG_INFINITY),
+        ] {
+            let mut cir = clean.clone();
+            cir.taps_mut()[500] = bad;
+            for backend in DspBackend::ALL {
+                let mut ctx = DetectorContext::with_backend(backend);
+                for result in [
+                    ss.detect_with(&mut ctx, &cir, 2).map(|o| o.responses),
+                    th.detect_with(&mut ctx, &cir, 2),
+                ] {
+                    let reported = match result {
+                        Err(RangingError::InvalidParameter {
+                            name: "cir_tap",
+                            value,
+                        }) => value,
+                        other => panic!("{backend:?}: tap {bad:?} gave {other:?}"),
+                    };
+                    assert_eq!(reported.to_bits(), component.to_bits(), "{backend:?}");
+                }
+            }
         }
     }
 

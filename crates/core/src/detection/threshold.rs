@@ -13,7 +13,7 @@
 
 use crate::detection::context::DetectorContext;
 use crate::detection::shape_scores::ShapeScores;
-use crate::detection::DetectedResponse;
+use crate::detection::{check_finite_taps, DetectedResponse};
 use crate::error::RangingError;
 use uwb_dsp::Kernels;
 use uwb_radio::Cir;
@@ -101,7 +101,9 @@ impl ThresholdDetector {
     ///
     /// # Errors
     ///
-    /// Returns [`RangingError::NoResponsesRequested`] when `count` is zero.
+    /// Returns [`RangingError::NoResponsesRequested`] when `count` is zero
+    /// and [`RangingError::InvalidParameter`] (`cir_tap`) when a tap has a
+    /// NaN or infinite component.
     pub fn detect(&self, cir: &Cir, count: usize) -> Result<Vec<DetectedResponse>, RangingError> {
         let mut ctx = DetectorContext::new();
         self.detect_with(&mut ctx, cir, count)
@@ -113,7 +115,9 @@ impl ThresholdDetector {
     ///
     /// # Errors
     ///
-    /// Returns [`RangingError::NoResponsesRequested`] when `count` is zero.
+    /// Returns [`RangingError::NoResponsesRequested`] when `count` is zero
+    /// and [`RangingError::InvalidParameter`] (`cir_tap`) when a tap has a
+    /// NaN or infinite component.
     pub fn detect_with(
         &self,
         ctx: &mut DetectorContext,
@@ -123,6 +127,7 @@ impl ThresholdDetector {
         if count == 0 {
             return Err(RangingError::NoResponsesRequested);
         }
+        check_finite_taps(cir)?;
         let DetectorContext {
             dsp,
             residual: up,

@@ -59,8 +59,11 @@ pub use clock::ClockModel;
 pub use event::EventQueue;
 pub use frame::{capture_index, NodeId, ReceivedFrame, Reception};
 pub use node::NodeConfig;
-pub use sim::{NodeApi, Protocol, SimConfig, Simulator, DEFAULT_RX_TIMESTAMP_NOISE_S};
-pub use trace::{TraceEvent, TraceRing, DEFAULT_TRACE_QUOTA, TRACE_QUOTA_ENV};
+pub use sim::{
+    NodeApi, Protocol, SimConfig, Simulator, CFO_NOISE_PPM, DEFAULT_RX_TIMESTAMP_NOISE_S,
+    MERGE_WINDOW_S,
+};
+pub use trace::TraceEvent;
 // The fault plane consumed by `SimConfig::with_faults`, re-exported so
 // protocol crates need not depend on `uwb-faults` directly.
 pub use uwb_faults::{FaultInjector, FaultPlan, FaultStats};

@@ -17,7 +17,7 @@
 use crate::event::EventQueue;
 use crate::frame::{capture_index, NodeId, ReceivedFrame, Reception};
 use crate::node::{NodeConfig, SimNode};
-use crate::trace::{TraceEvent, TraceRing};
+use crate::trace::TraceEvent;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use uwb_channel::{random, ChannelModel};
@@ -28,6 +28,15 @@ use uwb_radio::{DeviceTime, EnergyLedger, FrameTiming, PulseShape, RadioState};
 /// estimates spread with σ_d ≈ 2.3 cm, the value the paper measures for the
 /// default pulse shape (Sect. V: σ₁ = 0.0228 m).
 pub const DEFAULT_RX_TIMESTAMP_NOISE_S: f64 = 0.107e-9;
+
+/// Carrier-frequency-offset measurement noise σ in ppm (DW1000 carrier
+/// integrator readings resolve relative clock offset to a fraction of a
+/// ppm over one preamble).
+pub const CFO_NOISE_PPM: f64 = 0.05;
+
+/// Window within which frames arriving at one node merge into a single
+/// reception: the CIR accumulator span, ≈1.017 µs.
+pub const MERGE_WINDOW_S: f64 = 1016.0 * uwb_radio::CIR_SAMPLE_PERIOD_S;
 
 /// Simulator-wide physical-layer options.
 ///
@@ -49,13 +58,6 @@ pub const DEFAULT_RX_TIMESTAMP_NOISE_S: f64 = 0.107e-9;
 pub struct SimConfig {
     /// RX timestamp estimation noise σ in seconds.
     pub rx_timestamp_noise_s: f64,
-    /// Carrier-frequency-offset measurement noise σ in ppm (DW1000
-    /// carrier integrator readings resolve relative clock offset to a
-    /// fraction of a ppm over one preamble).
-    pub cfo_noise_ppm: f64,
-    /// Window within which frames arriving at one node merge into a single
-    /// reception (defaults to the CIR accumulator span, ≈1.017 µs).
-    pub merge_window_s: f64,
     /// Whether scheduled transmissions are truncated to the 8 ns hardware
     /// grid (disable to quantify the artefact's impact).
     pub tx_quantization: bool,
@@ -68,23 +70,15 @@ pub struct SimConfig {
     /// payload corruption, receiver dropout, TX jitter / late replies).
     /// [`FaultPlan::none`] — the default — is a bit-identical no-op.
     pub faults: FaultPlan,
-    /// Trace retention quota: `None` defers to `UWB_NETSIM_TRACE_QUOTA`
-    /// (default [`crate::trace::DEFAULT_TRACE_QUOTA`]); `Some(0)` is the
-    /// opt-in unbounded full-trace mode; `Some(n)` keeps the last `n`
-    /// events.
-    pub trace_quota: Option<usize>,
 }
 
 impl Default for SimConfig {
     fn default() -> Self {
         Self {
             rx_timestamp_noise_s: DEFAULT_RX_TIMESTAMP_NOISE_S,
-            cfo_noise_ppm: 0.05,
-            merge_window_s: 1016.0 * uwb_radio::CIR_SAMPLE_PERIOD_S,
             tx_quantization: true,
             min_decode_amplitude: 0.0,
             faults: FaultPlan::none(),
-            trace_quota: None,
         }
     }
 }
@@ -94,20 +88,6 @@ impl SimConfig {
     #[must_use]
     pub fn with_rx_timestamp_noise(mut self, sigma_s: f64) -> Self {
         self.rx_timestamp_noise_s = sigma_s;
-        self
-    }
-
-    /// Sets the CFO measurement noise σ in ppm.
-    #[must_use]
-    pub fn with_cfo_noise(mut self, sigma_ppm: f64) -> Self {
-        self.cfo_noise_ppm = sigma_ppm;
-        self
-    }
-
-    /// Sets the accumulation-window merge span in seconds.
-    #[must_use]
-    pub fn with_merge_window(mut self, window_s: f64) -> Self {
-        self.merge_window_s = window_s;
         self
     }
 
@@ -130,30 +110,6 @@ impl SimConfig {
     pub fn with_faults(mut self, faults: FaultPlan) -> Self {
         self.faults = faults;
         self
-    }
-
-    /// Sets the trace retention quota (`0` = unbounded), overriding the
-    /// `UWB_NETSIM_TRACE_QUOTA` environment knob.
-    #[must_use]
-    pub fn with_trace_quota(mut self, quota: usize) -> Self {
-        self.trace_quota = Some(quota);
-        self
-    }
-
-    /// Opts into the unbounded full-trace mode (every event retained for
-    /// the whole run — the pre-ring behaviour; memory grows with the
-    /// run).
-    #[must_use]
-    pub fn with_full_trace(self) -> Self {
-        self.with_trace_quota(0)
-    }
-
-    /// The effective trace quota: the explicit config value when set,
-    /// otherwise the environment knob / default.
-    #[must_use]
-    pub fn effective_trace_quota(&self) -> usize {
-        self.trace_quota
-            .unwrap_or_else(crate::trace::trace_quota_from_env)
     }
 }
 
@@ -292,7 +248,7 @@ pub struct Simulator<P> {
     injector: FaultInjector,
     tx_seq: u64,
     sched_seq: u64,
-    trace: TraceRing,
+    trace: Vec<TraceEvent>,
 }
 
 impl<P: Clone> Simulator<P> {
@@ -301,7 +257,7 @@ impl<P: Clone> Simulator<P> {
         Self {
             channel,
             injector: FaultInjector::new(config.faults),
-            trace: TraceRing::with_quota(config.effective_trace_quota()),
+            trace: Vec::new(),
             config,
             nodes: Vec::new(),
             queue: EventQueue::new(),
@@ -353,9 +309,8 @@ impl<P: Clone> Simulator<P> {
         self.now_s
     }
 
-    /// The recorded trace (a bounded ring, oldest retained event first —
-    /// see [`TraceRing`] for the retention policy).
-    pub fn trace(&self) -> &TraceRing {
+    /// The recorded trace, oldest event first.
+    pub fn trace(&self) -> &[TraceEvent] {
         &self.trace
     }
 
@@ -408,10 +363,8 @@ impl<P: Clone> Simulator<P> {
                 self.rx_buffers[idx].push(frame);
                 if !self.rx_window_open[idx] {
                     self.rx_window_open[idx] = true;
-                    self.queue.push(
-                        self.now_s + self.config.merge_window_s,
-                        SimEvent::ReceptionClose { rx },
-                    );
+                    self.queue
+                        .push(self.now_s + MERGE_WINDOW_S, SimEvent::ReceptionClose { rx });
                 }
             }
             SimEvent::ReceptionClose { rx } => {
@@ -612,8 +565,8 @@ impl<P: Clone> Simulator<P> {
         // receiver: the ratio of clock rates, in ppm, plus readout noise.
         let tx_rate = self.nodes[frames[best].src.0 as usize].config.clock.rate();
         let rx_rate = clock.rate();
-        let cfo_ppm = (tx_rate / rx_rate - 1.0) * 1e6
-            + random::normal(&mut self.rng, 0.0, self.config.cfo_noise_ppm);
+        let cfo_ppm =
+            (tx_rate / rx_rate - 1.0) * 1e6 + random::normal(&mut self.rng, 0.0, CFO_NOISE_PPM);
 
         Some(Reception {
             node: rx,

@@ -1,42 +1,13 @@
-//! The simulation trace: a bounded ring of dispatch events.
+//! The simulation trace: a plain record of dispatch events.
 //!
 //! Every transmission and reception the simulator dispatches is recorded
-//! as a [`TraceEvent`] — tests assert against it and the offline tooling
-//! mirrors it into the observability sink. A city-scale run (thousands of
-//! nodes × many rounds) would make an unbounded event log the dominant
-//! memory consumer, so the trace is a *ring*: once the quota is reached,
-//! the oldest events are overwritten and counted in
-//! [`TraceRing::dropped`]. The quota follows the same env-knob pattern as
-//! the observability flight recorder (`UWB_FLIGHT_QUOTA`):
-//!
-//! - [`SimConfig::with_trace_quota`](crate::SimConfig::with_trace_quota)
-//!   sets it explicitly (`0` = unbounded, the opt-in full-trace mode);
-//! - otherwise the `UWB_NETSIM_TRACE_QUOTA` environment variable applies;
-//! - otherwise [`DEFAULT_TRACE_QUOTA`] (large enough that every
-//!   experiment and test in this workspace sees a complete trace).
-//!
-//! `uwb-worldsim` applies the same policy to each shard's trace.
+//! as a [`TraceEvent`] in [`Simulator::trace`](crate::Simulator::trace),
+//! oldest first. Tests and the Fig. 3 message-cost experiment assert
+//! against it. Each event is also mirrored into the observability sink
+//! ([`TraceEvent::forward_to_obs`]), which is where `--trace-out` files
+//! come from; `uwb-worldsim` mirrors its window closes the same way.
 
 use crate::frame::NodeId;
-
-/// The trace-quota environment variable.
-pub const TRACE_QUOTA_ENV: &str = "UWB_NETSIM_TRACE_QUOTA";
-
-/// Default trace quota (events retained) when neither the config nor the
-/// environment overrides it.
-pub const DEFAULT_TRACE_QUOTA: usize = 4096;
-
-/// Resolves the trace quota from `UWB_NETSIM_TRACE_QUOTA`, falling back
-/// to [`DEFAULT_TRACE_QUOTA`]. A value of `0` means unbounded.
-///
-/// Uses the workspace-wide knob policy ([`uwb_obs::quota_from_env`]):
-/// a malformed value warns on stderr and falls back to the default, the
-/// same behaviour as `UWB_FLIGHT_QUOTA`.
-#[must_use]
-pub fn trace_quota_from_env() -> usize {
-    let quota = uwb_obs::quota_from_env(TRACE_QUOTA_ENV, DEFAULT_TRACE_QUOTA as u64);
-    usize::try_from(quota).unwrap_or(usize::MAX)
-}
 
 /// A line in the simulation trace, for debugging and assertions.
 #[derive(Debug, Clone, PartialEq)]
@@ -61,7 +32,7 @@ pub enum TraceEvent {
 
 impl TraceEvent {
     /// Mirrors this event into the shared observability sink (`netsim.tx`
-    /// / `netsim.rx` stages) — the simulator's private trace stays the
+    /// / `netsim.rx` stages) — the simulator's own trace stays the
     /// source of truth for in-test assertions, but post-mortem tooling
     /// sees dispatch alongside the pipeline stages. No-op when tracing is
     /// disabled.
@@ -85,222 +56,6 @@ impl TraceEvent {
                     ]
                 });
             }
-        }
-    }
-}
-
-/// A bounded ring of [`TraceEvent`]s, oldest first.
-///
-/// Indexing and iteration are in logical (chronological) order; index `0`
-/// is the oldest *retained* event. When the quota is exceeded the oldest
-/// events are overwritten and tallied in [`TraceRing::dropped`].
-///
-/// # Examples
-///
-/// ```
-/// use uwb_netsim::{NodeId, TraceEvent, TraceRing};
-///
-/// let mut ring = TraceRing::with_quota(2);
-/// for k in 0..3 {
-///     ring.push(TraceEvent::TxFired { node: NodeId(k), global_s: k as f64 });
-/// }
-/// assert_eq!(ring.len(), 2);
-/// assert_eq!(ring.dropped(), 1);
-/// assert!(matches!(ring[0], TraceEvent::TxFired { node: NodeId(1), .. }));
-/// ```
-#[derive(Debug, Clone, PartialEq)]
-pub struct TraceRing {
-    events: Vec<TraceEvent>,
-    /// Physical index of the logical head (oldest event) once the ring
-    /// has wrapped.
-    head: usize,
-    dropped: u64,
-    quota: usize,
-}
-
-impl TraceRing {
-    /// An empty ring with the given quota (`0` = unbounded).
-    #[must_use]
-    pub fn with_quota(quota: usize) -> Self {
-        Self {
-            events: Vec::new(),
-            head: 0,
-            dropped: 0,
-            quota,
-        }
-    }
-
-    /// An empty ring with the quota resolved from the environment
-    /// ([`trace_quota_from_env`]).
-    #[must_use]
-    pub fn from_env() -> Self {
-        Self::with_quota(trace_quota_from_env())
-    }
-
-    /// The configured quota (`0` = unbounded).
-    #[must_use]
-    pub fn quota(&self) -> usize {
-        self.quota
-    }
-
-    /// Number of retained events.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    /// Whether no events are retained.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-
-    /// Number of events overwritten because the quota was reached.
-    #[must_use]
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
-    /// Appends an event, overwriting the oldest once the quota is hit.
-    pub fn push(&mut self, event: TraceEvent) {
-        if self.quota == 0 || self.events.len() < self.quota {
-            self.events.push(event);
-        } else {
-            self.events[self.head] = event;
-            self.head = (self.head + 1) % self.quota;
-            self.dropped += 1;
-        }
-    }
-
-    /// The event at logical index `i` (0 = oldest retained), if any.
-    #[must_use]
-    pub fn get(&self, i: usize) -> Option<&TraceEvent> {
-        if i >= self.events.len() {
-            return None;
-        }
-        self.events.get((self.head + i) % self.events.len())
-    }
-
-    /// Iterates retained events oldest-first.
-    pub fn iter(&self) -> impl Iterator<Item = &TraceEvent> {
-        let (tail, front) = self.events.split_at(self.head);
-        front.iter().chain(tail.iter())
-    }
-
-    /// Copies the retained events, oldest first, into a vector.
-    #[must_use]
-    pub fn to_vec(&self) -> Vec<TraceEvent> {
-        self.iter().cloned().collect()
-    }
-
-    /// Absorbs another ring's events (oldest first) into this one,
-    /// preserving this ring's quota; dropped counts accumulate. Used by
-    /// `uwb-worldsim` to merge per-shard traces in shard order.
-    pub fn absorb(&mut self, other: &TraceRing) {
-        self.dropped += other.dropped;
-        for event in other.iter() {
-            self.push(event.clone());
-        }
-    }
-}
-
-impl std::ops::Index<usize> for TraceRing {
-    type Output = TraceEvent;
-    fn index(&self, i: usize) -> &TraceEvent {
-        self.get(i).expect("trace index within retained events")
-    }
-}
-
-impl<'a> IntoIterator for &'a TraceRing {
-    type Item = &'a TraceEvent;
-    type IntoIter =
-        std::iter::Chain<std::slice::Iter<'a, TraceEvent>, std::slice::Iter<'a, TraceEvent>>;
-    fn into_iter(self) -> Self::IntoIter {
-        let (tail, front) = self.events.split_at(self.head);
-        front.iter().chain(tail.iter())
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn tx(k: u32) -> TraceEvent {
-        TraceEvent::TxFired {
-            node: NodeId(k),
-            global_s: k as f64,
-        }
-    }
-
-    fn node_of(e: &TraceEvent) -> u32 {
-        match e {
-            TraceEvent::TxFired { node, .. } | TraceEvent::ReceptionEmitted { node, .. } => node.0,
-        }
-    }
-
-    #[test]
-    fn unbounded_ring_keeps_everything() {
-        let mut ring = TraceRing::with_quota(0);
-        for k in 0..10_000 {
-            ring.push(tx(k));
-        }
-        assert_eq!(ring.len(), 10_000);
-        assert_eq!(ring.dropped(), 0);
-        assert_eq!(node_of(&ring[9_999]), 9_999);
-    }
-
-    #[test]
-    fn bounded_ring_drops_oldest_first() {
-        let mut ring = TraceRing::with_quota(4);
-        for k in 0..10 {
-            ring.push(tx(k));
-        }
-        assert_eq!(ring.len(), 4);
-        assert_eq!(ring.dropped(), 6);
-        let kept: Vec<u32> = ring.iter().map(node_of).collect();
-        assert_eq!(kept, vec![6, 7, 8, 9]);
-        assert_eq!(node_of(&ring[0]), 6);
-        assert_eq!(node_of(&ring[3]), 9);
-        assert!(ring.get(4).is_none());
-    }
-
-    #[test]
-    fn iteration_matches_to_vec_before_and_after_wrap() {
-        let mut ring = TraceRing::with_quota(8);
-        for k in 0..5 {
-            ring.push(tx(k));
-        }
-        assert_eq!(ring.to_vec().len(), 5);
-        let by_iter: Vec<u32> = (&ring).into_iter().map(node_of).collect();
-        assert_eq!(by_iter, vec![0, 1, 2, 3, 4]);
-        for k in 5..20 {
-            ring.push(tx(k));
-        }
-        let by_iter: Vec<u32> = ring.iter().map(node_of).collect();
-        assert_eq!(by_iter, (12..20).collect::<Vec<_>>());
-        assert_eq!(
-            ring.to_vec().iter().map(node_of).collect::<Vec<_>>(),
-            by_iter
-        );
-    }
-
-    #[test]
-    fn absorb_merges_in_order_and_accumulates_drops() {
-        let mut a = TraceRing::with_quota(0);
-        a.push(tx(1));
-        let mut b = TraceRing::with_quota(1);
-        b.push(tx(2));
-        b.push(tx(3)); // drops tx(2)
-        a.absorb(&b);
-        assert_eq!(a.iter().map(node_of).collect::<Vec<_>>(), vec![1, 3]);
-        assert_eq!(a.dropped(), 1);
-    }
-
-    #[test]
-    fn env_default_applies_without_variable() {
-        if std::env::var(TRACE_QUOTA_ENV).is_err() {
-            assert_eq!(trace_quota_from_env(), DEFAULT_TRACE_QUOTA);
-            assert_eq!(TraceRing::from_env().quota(), DEFAULT_TRACE_QUOTA);
         }
     }
 }

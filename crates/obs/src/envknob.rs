@@ -1,12 +1,10 @@
 //! Uniform parsing for the workspace's environment quota knobs.
 //!
-//! `UWB_FLIGHT_QUOTA` and `UWB_NETSIM_TRACE_QUOTA` historically parsed
-//! their values independently, and both *silently* fell back to the
-//! default on malformed input — a typo like `UWB_FLIGHT_QUOTA=4O96`
-//! diverged the two knobs without a trace. Every quota knob now goes
-//! through [`quota_from_env`]: a well-formed non-negative integer is
-//! used as-is, an unset variable yields the default quietly, and
-//! anything else warns once on stderr and falls back to the default.
+//! Every quota knob (`UWB_FLIGHT_QUOTA`, `UWB_EPOCH_QUOTA`) goes through
+//! [`quota_from_env`], so a typo like `UWB_FLIGHT_QUOTA=4O96` is never
+//! silently ignored: a well-formed non-negative integer is used as-is,
+//! an unset variable yields the default quietly, and anything else
+//! warns once on stderr and falls back to the default.
 
 use std::env::VarError;
 
@@ -34,7 +32,7 @@ pub fn parse_quota(var: &str, raw: &str, default: u64) -> u64 {
 ///
 /// Unset → `default` (silently). Set but malformed (non-integer,
 /// negative, or non-unicode) → warn on stderr, then `default`. The
-/// meaning of `0` is knob-specific (unbounded for the trace rings,
+/// meaning of `0` is knob-specific (unbounded for the epoch stream,
 /// disabled for the flight recorder) and decided by the caller.
 #[must_use]
 pub fn quota_from_env(var: &str, default: u64) -> u64 {

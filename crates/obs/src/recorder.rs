@@ -53,8 +53,8 @@ fn recorder() -> Option<Arc<Recorder>> {
 fn flight_quota_from_env() -> i64 {
     // Unified knob policy (envknob): malformed values warn on stderr and
     // fall back to the default instead of silently diverging from the
-    // netsim trace quota. Values beyond i64 saturate (effectively
-    // unlimited snapshots, which is what a huge quota means anyway).
+    // epoch quota. Values beyond i64 saturate (effectively unlimited
+    // snapshots, which is what a huge quota means anyway).
     let quota = crate::envknob::quota_from_env("UWB_FLIGHT_QUOTA", DEFAULT_FLIGHT_QUOTA as u64);
     i64::try_from(quota).unwrap_or(i64::MAX)
 }

@@ -190,36 +190,6 @@ pub fn summary(trace: &Trace) -> String {
         out.push_str(&format!("  {stage:<width$}  {count}\n"));
     }
 
-    // Ring-buffer health: the worldsim engine emits one final
-    // `trace.ring` tally per shard per run (a sweep trace holds one
-    // per shard per world), so the reports simply sum. A non-zero drop
-    // count means the trace is missing events and downstream numbers
-    // undercount.
-    let mut rings = 0u64;
-    let mut retained = 0u64;
-    let mut dropped = 0u64;
-    for ev in &trace.events {
-        if ev.stage != "trace.ring" {
-            continue;
-        }
-        let field = |name: &str| ev.fields.get(name).and_then(Json::as_u64).unwrap_or(0);
-        rings += 1;
-        retained += field("retained");
-        dropped += field("dropped");
-    }
-    if rings > 0 {
-        out.push_str(&format!(
-            "\nnetsim trace rings: {rings} ring report(s), {retained} events retained, \
-             {dropped} evicted\n"
-        ));
-        if dropped > 0 {
-            out.push_str(&format!(
-                "WARNING: bounded trace truncated — {dropped} events were evicted from shard \
-                 rings; raise UWB_NETSIM_TRACE_QUOTA (0 = unbounded) to capture everything\n"
-            ));
-        }
-    }
-
     let registry = rebuild_latencies(trace);
     let table = registry.latency_table();
     if !table.is_empty() {
@@ -593,41 +563,6 @@ mod tests {
         assert!(text.contains("detect.iter"), "{text}");
         assert!(text.contains("campaign.chunk"), "{text}");
         assert!(text.contains("trials observed: 1"), "{text}");
-    }
-
-    #[test]
-    fn summary_warns_when_a_shard_ring_evicted_events() {
-        let truncated = concat!(
-            "{\"stage\":\"trace.meta\",\"schema\":1,\"writer\":\"uwb-obs\"}\n",
-            "{\"t_ns\":1,\"stage\":\"trace.ring\",\"shard\":0,\"retained\":10,\
-             \"dropped\":0,\"quota\":4096}\n",
-            // A second world run reports shard 0 again: tallies sum.
-            "{\"t_ns\":2,\"stage\":\"trace.ring\",\"shard\":0,\"retained\":4096,\
-             \"dropped\":17,\"quota\":4096}\n",
-            "{\"t_ns\":3,\"stage\":\"trace.ring\",\"shard\":1,\"retained\":5,\
-             \"dropped\":0,\"quota\":4096}\n",
-        );
-        let path = write_temp("ring-warn", truncated);
-        let trace = load_trace(&path).expect("load");
-        std::fs::remove_file(&path).ok();
-        let text = summary(&trace);
-        assert!(text.contains("schema 1"), "{text}");
-        assert!(
-            text.contains("3 ring report(s), 4111 events retained, 17 evicted"),
-            "{text}"
-        );
-        assert!(text.contains("WARNING"), "{text}");
-        assert!(text.contains("UWB_NETSIM_TRACE_QUOTA"), "{text}");
-
-        // A clean trace gets the tally but no warning.
-        let clean = "{\"t_ns\":1,\"stage\":\"trace.ring\",\"shard\":0,\"retained\":10,\
-             \"dropped\":0,\"quota\":4096}\n";
-        let path = write_temp("ring-clean", clean);
-        let trace = load_trace(&path).expect("load");
-        std::fs::remove_file(&path).ok();
-        let text = summary(&trace);
-        assert!(text.contains("netsim trace rings"), "{text}");
-        assert!(!text.contains("WARNING"), "{text}");
     }
 
     #[test]

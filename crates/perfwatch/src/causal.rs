@@ -76,8 +76,8 @@ pub fn causal(trace: &Trace, frame: &str) -> Result<String, String> {
     if events.is_empty() {
         return Err(format!(
             "no causal events for frame {canonical} in {} — record them by running the \
-             experiment with --trace-out and UWB_NETSIM_TRACE_QUOTA=0 (unbounded), then pick \
-             a frame id from any world.tx / world.identify event",
+             experiment with --trace-out, then pick a frame id from any world.tx / \
+             world.identify event",
             trace.path.display()
         ));
     }
@@ -96,9 +96,9 @@ pub fn causal(trace: &Trace, frame: &str) -> Result<String, String> {
             Some(parent) if owner.contains_key(parent) => {
                 children.entry(parent).or_default().push(idx);
             }
-            // Orphaned parents (evicted from a bounded ring) and true
-            // roots (the TX, whose span IS the frame id) both anchor at
-            // the top level so nothing silently disappears.
+            // Orphaned parents (absent from the trace) and true roots
+            // (the TX, whose span IS the frame id) both anchor at the
+            // top level so nothing silently disappears.
             _ => roots.push(idx),
         }
     }
@@ -203,7 +203,7 @@ mod tests {
         std::fs::remove_file(&path).ok();
         let err = causal(&trace, "dead").expect_err("absent frame");
         assert!(err.contains("no causal events"), "{err}");
-        assert!(err.contains("UWB_NETSIM_TRACE_QUOTA"), "{err}");
+        assert!(err.contains("--trace-out"), "{err}");
     }
 
     #[test]

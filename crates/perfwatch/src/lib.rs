@@ -16,10 +16,10 @@
 //!    regresses beyond the noise band (default ±15 %).
 //! 2. **The `uwb-trace` binary**: an offline analyzer for the JSONL
 //!    traces and flight-recorder snapshots `uwb-obs` writes under
-//!    `results/traces/` — per-stage summaries (with ring-truncation
-//!    warnings), residual/amplitude outlier hunting, ASCII CIR
-//!    rendering with truth vs. detected markers, trace-to-trace diffs,
-//!    causal span-chain reconstruction for a single frame
+//!    `results/traces/` — per-stage summaries, residual/amplitude
+//!    outlier hunting, ASCII CIR rendering with truth vs. detected
+//!    markers, trace-to-trace diffs, causal span-chain reconstruction
+//!    for a single frame
 //!    ([`causal()`]), epoch telemetry tables with a shard-load heatmap
 //!    ([`mod@epochs`]), and an ASCII flame view over the profiler's
 //!    collapsed-stack work exports ([`mod@flame`]).

@@ -51,8 +51,7 @@ pub struct WorldConfig {
     /// the whole world — correct, but O(N) work per transmission).
     pub comm_range_m: f64,
     /// Physical-layer options shared with the sequential simulator
-    /// (timestamp noise, merge window, TX quantization, fault plan,
-    /// trace quota).
+    /// (timestamp noise, TX quantization, decode limit, fault plan).
     pub sim: SimConfig,
     /// World seed: every random decision derives from it per use-site.
     pub seed: u64,

@@ -33,7 +33,6 @@ use std::sync::Mutex;
 use uwb_campaign::run_ordered;
 use uwb_channel::ChannelModel;
 use uwb_faults::{FaultInjector, FaultStats};
-use uwb_netsim::trace::TraceRing;
 use uwb_netsim::{NodeConfig, NodeId};
 use uwb_obs::telemetry::{EpochRecord, EpochTelemetry};
 use uwb_obs::MetricsRegistry;
@@ -101,14 +100,8 @@ impl<Pr: WorldProtocol> WorldSim<Pr> {
     #[must_use]
     pub fn new(channel: ChannelModel, config: WorldConfig) -> Self {
         let grid = CellGrid::new(config.width_m, config.height_m, config.cell_m);
-        let quota = config.sim.effective_trace_quota();
         let shards = (0..grid.shard_count())
-            .map(|_| {
-                Mutex::new(ShardState::new(
-                    FaultInjector::new(config.sim.faults),
-                    quota,
-                ))
-            })
+            .map(|_| Mutex::new(ShardState::new(FaultInjector::new(config.sim.faults))))
             .collect();
         Self {
             config,
@@ -291,20 +284,10 @@ impl<Pr: WorldProtocol> WorldSim<Pr> {
         }
 
         if obs_on {
-            for (i, shard) in self.shards.iter().enumerate() {
+            for shard in &self.shards {
                 let mut shard = shard.lock().expect("shard lock poisoned");
                 let metrics = std::mem::replace(&mut shard.metrics, MetricsRegistry::new());
                 uwb_obs::absorb_metrics(&metrics);
-                // Surface each shard ring's retention state so trace
-                // tooling can warn when a bounded trace was truncated.
-                uwb_obs::event("trace.ring", || {
-                    vec![
-                        ("shard", (i as u32).into()),
-                        ("retained", shard.trace.len().into()),
-                        ("dropped", shard.trace.dropped().into()),
-                        ("quota", shard.trace.quota().into()),
-                    ]
-                });
             }
         }
     }
@@ -369,17 +352,6 @@ impl<Pr: WorldProtocol> WorldSim<Pr> {
         (0..self.node_shard.len() as u32)
             .map(|i| self.with_state(NodeId(i), |s| f(NodeId(i), s)))
             .collect()
-    }
-
-    /// The world's event trace: per-shard rings absorbed in shard index
-    /// order into one ring bounded by the configured quota.
-    #[must_use]
-    pub fn merged_trace(&self) -> TraceRing {
-        let mut merged = TraceRing::with_quota(self.config.sim.effective_trace_quota());
-        for shard in &self.shards {
-            merged.absorb(&shard.lock().expect("shard lock poisoned").trace);
-        }
-        merged
     }
 }
 

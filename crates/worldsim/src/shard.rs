@@ -16,8 +16,10 @@ use crate::api::{NodeCtx, WorldCommand, WorldProtocol, WorldReception};
 use crate::rng::{site_key, site_rng, DOMAIN_FRAME_TIME, DOMAIN_PROPAGATION, DOMAIN_RX_NOISE};
 use uwb_channel::{random, ChannelModel, Point2};
 use uwb_faults::FaultInjector;
-use uwb_netsim::trace::{TraceEvent, TraceRing};
-use uwb_netsim::{capture_index, EventQueue, NodeConfig, NodeId, ReceivedFrame, Reception};
+use uwb_netsim::{
+    capture_index, EventQueue, NodeConfig, NodeId, ReceivedFrame, Reception, TraceEvent,
+    CFO_NOISE_PPM, MERGE_WINDOW_S,
+};
 use uwb_obs::telemetry::ShardEpochStats;
 use uwb_obs::{fmt_trace_id, frame_trace_id, span_id, MetricsRegistry};
 use uwb_radio::{DeviceTime, EnergyLedger, FrameTiming, PulseShape, RadioState};
@@ -102,7 +104,6 @@ pub(crate) struct ShardState<Pr: WorldProtocol> {
     /// hashes, so clones agree; only the *counters* are shard-local and
     /// merged in shard order by the engine.
     pub injector: FaultInjector,
-    pub trace: TraceRing,
     /// Obs metrics captured during this shard's epoch phases, merged
     /// into the caller's registry (in shard order) at the end of a run.
     pub metrics: MetricsRegistry,
@@ -113,13 +114,12 @@ pub(crate) struct ShardState<Pr: WorldProtocol> {
 }
 
 impl<Pr: WorldProtocol> ShardState<Pr> {
-    pub fn new(injector: FaultInjector, trace_quota: usize) -> Self {
+    pub fn new(injector: FaultInjector) -> Self {
         Self {
             ids: Vec::new(),
             nodes: Vec::new(),
             queue: EventQueue::new(),
             injector,
-            trace: TraceRing::with_quota(trace_quota),
             metrics: MetricsRegistry::new(),
             outbox: Vec::new(),
             stats: ShardEpochStats::default(),
@@ -191,7 +191,7 @@ impl<Pr: WorldProtocol> ShardState<Pr> {
 
     /// Delivers one committed transmission to the owned nodes. The
     /// sender's shard — and only it — also charges TX energy and records
-    /// the trace event plus the `world.tx` causal root span.
+    /// the `world.tx` causal root span, the TX's one trace record.
     fn fan_out(&mut self, tx: &PendingTx<Pr::Payload>, env: &ShardEnv<'_>) {
         let frame_id = frame_trace_id(env.world_seed, tx.src.0, tx.src_seq);
         if let Some(local_src) = self.local_index(tx.src) {
@@ -200,12 +200,6 @@ impl<Pr: WorldProtocol> ShardState<Pr> {
             self.nodes[local_src]
                 .ledger
                 .record(RadioState::Transmit, airtime);
-            let event = TraceEvent::TxFired {
-                node: tx.src,
-                global_s: tx.fire_s,
-            };
-            event.forward_to_obs();
-            self.trace.push(event);
             uwb_obs::event("world.tx", || {
                 vec![
                     ("frame", fmt_trace_id(frame_id).into()),
@@ -333,10 +327,8 @@ impl<Pr: WorldProtocol> ShardState<Pr> {
                 self.nodes[rx].rx_buffer.push((frame, src_rate));
                 if !self.nodes[rx].window_open {
                     self.nodes[rx].window_open = true;
-                    self.queue.push(
-                        now_s + env.sim.merge_window_s,
-                        LocalEvent::ReceptionClose { rx },
-                    );
+                    self.queue
+                        .push(now_s + MERGE_WINDOW_S, LocalEvent::ReceptionClose { rx });
                 }
             }
             LocalEvent::ReceptionClose { rx } => {
@@ -505,16 +497,15 @@ impl<Pr: WorldProtocol> ShardState<Pr> {
             window_seq,
         );
         let cfo_ppm = (rates[best] / clock.rate() - 1.0) * 1e6
-            + random::normal(&mut noise_rng, 0.0, env.sim.cfo_noise_ppm);
+            + random::normal(&mut noise_rng, 0.0, CFO_NOISE_PPM);
 
         let rx_true_global_s = frames[best].first_path_global_s();
-        let event = TraceEvent::ReceptionEmitted {
+        TraceEvent::ReceptionEmitted {
             node: self.ids[rx],
             global_s: now_s,
             frames: frames.len(),
-        };
-        event.forward_to_obs();
-        self.trace.push(event);
+        }
+        .forward_to_obs();
 
         Some(WorldReception {
             reception: Reception {

@@ -7,6 +7,8 @@
 //!    emits the *identical set* of frame ids, and every frame's journey
 //!    is reconstructable as a TX → deliver → decode → identify span
 //!    chain from the emitted events.
+//! 3. The same run records each committed transmission exactly once, as
+//!    its `world.tx` root span, and emits no other per-TX record.
 //!
 //! These tests install the process-global obs recorder, so the ones that
 //! do serialize on a mutex.
@@ -16,7 +18,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{Mutex, MutexGuard};
 use uwb_faults::FaultPlan;
 use uwb_obs::{frame_trace_id, RingSink, Value};
-use uwb_worldsim::{run_capacity, CapacityConfig};
+use uwb_worldsim::{run_capacity, CapacityConfig, CapacityOutcome};
 
 static RECORDER_LOCK: Mutex<()> = Mutex::new(());
 
@@ -41,15 +43,20 @@ fn contested_config() -> CapacityConfig {
         .with_faults(faults)
 }
 
-/// Runs the contested world under a recorder and returns every captured
-/// event, oldest first.
-fn captured_events(shard_m: f64) -> Vec<uwb_obs::Event> {
+/// Runs a world under a recorder and returns its outcome with every
+/// captured event, oldest first.
+fn capture(config: &CapacityConfig) -> (CapacityOutcome, Vec<uwb_obs::Event>) {
     let ring = RingSink::new(1 << 18);
     uwb_obs::install(Box::new(ring.clone()));
-    let _ = run_capacity(&contested_config().with_shard_m(shard_m));
+    let outcome = run_capacity(config);
     uwb_obs::uninstall();
     assert_eq!(ring.dropped(), 0, "capture ring must not evict");
-    ring.events()
+    (outcome, ring.events())
+}
+
+/// The contested world's captured events under one shard layout.
+fn captured_events(shard_m: f64) -> Vec<uwb_obs::Event> {
+    capture(&contested_config().with_shard_m(shard_m)).1
 }
 
 fn str_field(event: &uwb_obs::Event, name: &str) -> Option<String> {
@@ -112,6 +119,36 @@ fn frame_ids_are_layout_stable_and_chains_complete() {
             assert_eq!(str_field(event, "frame").as_ref(), Some(&frame));
         }
     }
+}
+
+#[test]
+fn each_committed_tx_is_recorded_once() {
+    let _guard = serial();
+    let (outcome, events) = capture(&contested_config());
+    let committed: u64 = outcome.telemetry.records().map(|r| r.txes()).sum();
+    assert!(
+        committed > 80,
+        "two cells × three rounds must transmit, got {committed}"
+    );
+    let world_txes = events.iter().filter(|e| e.stage == "world.tx").count() as u64;
+    assert_eq!(world_txes, committed);
+    // `world.tx` is the only per-TX record: beside the span chain the run
+    // emits only window closes and slot decodes (no `netsim.tx` mirror).
+    let stages: BTreeSet<&str> = events.iter().map(|e| e.stage).collect();
+    let allowed = BTreeSet::from([
+        "netsim.rx",
+        "rpm.decode",
+        "world.decode",
+        "world.deliver",
+        "world.drop",
+        "world.identify",
+        "world.tx",
+    ]);
+    assert!(
+        stages.is_subset(&allowed),
+        "unexpected stages {:?}",
+        stages.difference(&allowed).collect::<Vec<_>>()
+    );
 }
 
 proptest! {
